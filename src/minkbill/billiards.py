@@ -1,13 +1,22 @@
 """Shortest closed billiard trajectories in a convex body under a gauge.
 
-The solver minimizes the cyclic gauge length of a polygon with m bounce
-points, m swept over {2, ..., dim+1}, subject to the point set not being
-coverable by any smaller homothet of the table body. Noncoverability is the
-scalar constraint lambda(q_1..q_m) >= 1 where lambda is the smallest covering
-homothet ratio; it enters the objective as a quadratic penalty whose weight
-is ramped up over outer stages, and every candidate is finally repaired by
-the exact scaling that sets lambda = 1 (both the length and lambda are
-positively homogeneous, so the repair is loss-free).
+``shortest_trajectory`` picks one of two paths from the kind of input:
+
+- **Exact path** (the table is a polytope and the gauge's unit ball is a
+  polytope). Noncoverability is lambda(Q) >= 1, and lambda(Q) is the largest
+  value of sum_j y_j h_Q(u_j) over the dual vertices y of the covering
+  program. For one y and one cyclic order of its support facets, the
+  shortest polygon that meets the linear row sum_i y_i <u_i, q_i> >= 1 is a
+  small LP. The shortest length is the smallest optimum over every dual
+  vertex and every cyclic order, so this path is deterministic and ignores
+  ``starts``, ``seed`` and ``stall_limit``.
+- **Heuristic path** (the table or the gauge's unit ball is a ``Ball``). It
+  minimizes the cyclic gauge length of a polygon with m bounce points, m
+  swept over {2, ..., dim+1}, by multi-start Nelder-Mead. The constraint
+  lambda(q_1..q_m) >= 1 enters the objective as a quadratic penalty whose
+  weight is ramped up over outer stages, and every candidate is finally
+  repaired by the exact scaling that sets lambda = 1 (both the length and
+  lambda are positively homogeneous, so the repair is loss-free).
 
 The length of the result equals the Hofer-Zehnder capacity of the product of
 the table with the polar of the gauge ball; ``capacity_product_polar`` is
@@ -18,11 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy import sparse
+from scipy.optimize import linprog, minimize
 
-from .errors import BodyError, DimensionMismatch, GaugeError
+from .errors import BodyError, DimensionMismatch, GaugeError, LPError
 from .geometry import (
     Ball,
     ConvexBody,
@@ -35,6 +46,8 @@ from .geometry import (
 from .lp import solve_lp
 
 _MU_STAGES = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
+_SUPPORT_TOL = 1e-12  # dual weights at or below this are outside the support
+_LP_BATCH_ROWS = 512  # constraint rows per block-diagonal batch of cycle LPs
 
 
 @dataclass
@@ -159,8 +172,10 @@ def _facet_seeds(K: ConvexBody, m: int):
     return seeds
 
 
-def _canonical_cycle(pts: np.ndarray):
-    """Rotation/reversal-invariant ordering of a closed polygon.
+def _canonical_cycle(pts: np.ndarray, reversible: bool):
+    """Rotation-invariant ordering of a closed polygon, also invariant under
+    reversal when ``reversible`` (reversing changes the length under an
+    asymmetric gauge, so it is then not a symmetry).
 
     Returns the reordered (exact) points plus the rounded comparison key;
     rounding is confined to the key so coordinates stay untouched.
@@ -168,7 +183,7 @@ def _canonical_cycle(pts: np.ndarray):
     rounded = np.round(pts, 9) + 0.0
     best_key = None
     best_cfg = None
-    for rev in (False, True):
+    for rev in (False, True) if reversible else (False,):
         seq = rounded[::-1] if rev else rounded
         for s in range(len(seq)):
             key = tuple(np.roll(seq, -s, axis=0).ravel())
@@ -205,27 +220,118 @@ def _edge_length_fn(g: Gauge):
     return length_of
 
 
-def shortest_trajectory(K: ConvexBody, g: Gauge, starts: int = 64, seed: int = 0,
-                        tol: float = 1e-9, stall_limit: int = 24) -> Trajectory:
-    """Best closed billiard polygon found by penalized multi-start search.
+def _cycle_lps_best(M, s, d, coefs):
+    """Smallest optimum, and its points, over the cycle LPs of support size s.
+
+    One LP per row of ``coefs``: points q_1..q_s with q_1 = 0 and edge
+    lengths t_1..t_s >= 0; minimize sum t subject to M (q_{i+1} - q_i) <= t_i
+    and coefs . (q_2..q_s) >= 1. The LPs are solved a few at a time as one
+    block-diagonal program of at most ``_LP_BATCH_ROWS`` rows (larger
+    programs raise HiGHS's peak memory); the blocks share no variable, so
+    every block of the joint optimum is optimal for its own LP.
+    """
+    nf = len(M)
+    nq = (s - 1) * d
+    n = nq + s
+    block = np.zeros((s * nf, n))
+    for i in range(s):
+        rows = slice(i * nf, (i + 1) * nf)
+        for j, sign in (((i + 1) % s, 1.0), (i, -1.0)):
+            if j:  # q_1 is pinned at the origin and has no column
+                block[rows, (j - 1) * d:j * d] += sign * M
+        block[rows, nq + i] = -1.0
+    block = sparse.csr_matrix(block)
+    cost = np.r_[np.zeros(nq), np.ones(s)]
+    bounds = np.column_stack([np.r_[np.full(nq, -np.inf), np.zeros(s)],
+                              np.full(n, np.inf)])
+
+    def batch(k):
+        # k copies of the edge rows, then one coefficient row per block whose
+        # entries are the last k * nq stored values of the CSR matrix
+        coef_rows = sparse.csr_matrix(
+            (np.ones(k * nq), (np.arange(k)[:, None] * n + np.arange(nq)).ravel(),
+             np.arange(k + 1) * nq), shape=(k, k * n))
+        a_ub = sparse.vstack([sparse.kron(sparse.identity(k), block), coef_rows],
+                             format="csr")
+        b_ub = np.r_[np.zeros(k * s * nf), -np.ones(k)]
+        return np.tile(cost, k), a_ub, b_ub, np.tile(bounds, (k, 1))
+
+    best = None
+    programs = {}  # batch size -> (cost, a_ub, b_ub, bounds)
+    per_batch = max(1, _LP_BATCH_ROWS // (s * nf + 1))
+    for first in range(0, len(coefs), per_batch):
+        chunk = coefs[first:first + per_batch]
+        k = len(chunk)
+        if k not in programs:
+            programs[k] = batch(k)
+        c, a_ub, b_ub, bnds = programs[k]
+        a_ub.data[-k * nq:] = -chunk.ravel()
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bnds, method="highs",
+                      options={"presolve": False})
+        if res.status != 0:
+            raise LPError(f"billiard cycle LP failed: {res.message}")
+        x = res.x.reshape(k, n)
+        vals = x @ cost
+        i = int(np.argmin(vals))
+        if best is None or vals[i] < best[0]:
+            best = (vals[i], x[i, :nq])
+    return best[0], np.vstack([np.zeros(d), best[1].reshape(s - 1, d)])
+
+
+def _exact_polygon(lam_of: HomothetLambda, g: Gauge) -> np.ndarray:
+    """Shortest noncoverable polygon for a polytope table and a polyhedral
+    gauge, as the best of one LP per dual vertex and cyclic support order.
+
+    lambda(Q) = max_y sum_j y_j h_Q(u_j) over the dual vertices y that
+    ``lam_of`` holds, so lambda(Q) >= 1 exactly when some y and some choice
+    of one polygon point per support facet meet sum_i y_i <u_i, q_i> >= 1.
+    Each support facet may take its own point, because points may coincide,
+    and U^T y = 0 makes that row translation invariant, so q_1 can be pinned.
+    Orders count up to rotation, and up to reversal under a symmetric gauge.
+    """
+    U, W = lam_of._U, lam_of._W
+    d = U.shape[1]
+    Ug, bg = g.unit_ball.facet_data()
+    M = Ug / bg[:, None]
+    groups = {}  # support size -> rows of LP coefficients on q_2..q_s
+    seen = set()
+    for y in W:
+        S = tuple(np.flatnonzero(y > _SUPPORT_TOL))
+        if S in seen:
+            continue
+        seen.add(S)
+        for rest in permutations(S[1:]):
+            if g.symmetric and len(rest) > 1 and rest[0] > rest[-1]:
+                continue
+            idx = list(rest)
+            groups.setdefault(len(S), []).append((y[idx, None] * U[idx]).ravel())
+    best = None
+    for s in sorted(groups):
+        val, pts = _cycle_lps_best(M, s, d, np.asarray(groups[s]))
+        # on a tie the polygon with fewer bounces stays
+        if best is None or val < best[0] - 1e-12 * (1.0 + best[0]):
+            best = (val, pts)
+    pts = best[1]
+    return pts / lam_of(pts)
+
+
+def _search_polygon(K: ConvexBody, g: Gauge, lam_of: HomothetLambda, starts: int,
+                    seed: int, stall_limit: int) -> np.ndarray:
+    """Best closed polygon found by penalized multi-start search.
 
     Deterministic for a fixed seed. Each start owns the substream
     (seed, m, start index), so results do not depend on how many other
     starts ran before it; the sweep stops early for a given bounce count
     after ``stall_limit`` consecutive random starts without improvement.
     """
-    if g.dim != K.dim:
-        raise DimensionMismatch("body and gauge dimensions differ")
     d = K.dim
-    lam_of = HomothetLambda(K)
     sample = _boundary_sampler(K)
     length_of = _edge_length_fn(g)
-
     best = None  # (sort key, length, canonical points)
 
     def consider(pts, length):
         nonlocal best
-        canon, cycle_key = _canonical_cycle(pts)
+        canon, cycle_key = _canonical_cycle(pts, g.symmetric)
         key = (round(length, 9), cycle_key)
         if best is None or key < best[0]:
             best = (key, length, canon)
@@ -301,10 +407,15 @@ def shortest_trajectory(K: ConvexBody, g: Gauge, starts: int = 64, seed: int = 0
 
     if best is None:
         raise BodyError("no feasible billiard candidate found")
+    return best[2]
 
-    _, length, pts = best
-    # drop consecutive duplicate points, then position the polygon so the
-    # covering homothet of ratio 1 is the body itself
+
+def _finish(K: ConvexBody, g: Gauge, lam_of: HomothetLambda, pts: np.ndarray,
+            tol: float) -> Trajectory:
+    """Trajectory from a polygon with lambda = 1: drop duplicate and
+    removable points, then position the polygon so the covering homothet of
+    ratio 1 is the body itself."""
+    length = trajectory_length(pts, g)
     keep = [0]
     for i in range(1, len(pts)):
         if np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-9:
@@ -330,6 +441,24 @@ def shortest_trajectory(K: ConvexBody, g: Gauge, starts: int = 64, seed: int = 0
     lam = lam_of(pts)
     return Trajectory(points=pts, gauge_length=length, gauge_id=g.label,
                       lam=float(lam), converged=abs(lam - 1.0) <= 1e-6)
+
+
+def shortest_trajectory(K: ConvexBody, g: Gauge, starts: int = 64, seed: int = 0,
+                        tol: float = 1e-9, stall_limit: int = 24) -> Trajectory:
+    """Shortest closed billiard polygon of K under g.
+
+    Exact when neither K nor the gauge's unit ball is a ``Ball``; then
+    ``starts``, ``seed`` and ``stall_limit`` have no effect. Otherwise the
+    best polygon of a seeded multi-start search (see the module docstring).
+    """
+    if g.dim != K.dim:
+        raise DimensionMismatch("body and gauge dimensions differ")
+    lam_of = HomothetLambda(K)
+    if isinstance(K, Ball) or isinstance(g.unit_ball, Ball):
+        pts = _search_polygon(K, g, lam_of, starts, seed, stall_limit)
+    else:
+        pts = _exact_polygon(lam_of, g)
+    return _finish(K, g, lam_of, pts, tol)
 
 
 def capacity_product_polar(K: ConvexBody, g: Gauge, starts: int = 64,

@@ -6,7 +6,9 @@ two-space indent) so identical inputs and seeds produce identical bytes.
 
 Exit codes: 0 success/verified; 2 input problem (bad file, bad JSON, bad
 parameters); 3 mathematical probe failed (not covered, inequality violated)
-with the witness in the report; 4 optimizer did not converge.
+with the witness in the report; 4 optimizer did not converge (for billiard:
+covering ratio not 1, or reflection residual above the ``converged``
+tolerance).
 """
 
 from __future__ import annotations
@@ -122,7 +124,9 @@ def _cmd_billiard(config: RunConfig) -> int:
     cert = verify_reflection(traj, K, g)
     _emit(config, traj.to_dict(violation=cert.max_violation))
     _write_svg(config, K, trajectory=traj.points)
-    if not traj.converged or abs(traj.lam - 1.0) > config.tol("converged", 1e-6):
+    tol = config.tol("converged", 1e-6)
+    if (not traj.converged or abs(traj.lam - 1.0) > tol
+            or cert.max_violation > tol):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -498,8 +498,17 @@ class HomothetLambda:
         return float(max((self._W @ h).max(), 0.0))
 
 
+# facet subsets of size d+1 that _dual_candidates may enumerate; the dense
+# working arrays grow with this count (720 facets in 2D would need 4.5 GB)
+_MAX_DUAL_SUBSETS = 100_000
+
+
 def _dual_candidates(U, b):
     F, d = U.shape
+    subsets = math.comb(F, d + 1)
+    if subsets > _MAX_DUAL_SUBSETS:
+        raise InputError(f"{F} facets in dimension {d} give {subsets} facet subsets; "
+                         f"the covering-ratio table allows at most {_MAX_DUAL_SUBSETS}")
     rows = []
 
     # support pairs: antiparallel normals

@@ -1,22 +1,36 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from minkbill import billiards
 from minkbill.billiards import (
     Trajectory,
+    _facet_seeds,
     capacity_product_polar,
     shortest_trajectory,
     trajectory_length,
     verify_reflection,
 )
-from minkbill.errors import BodyError, DimensionMismatch
+from minkbill.errors import BodyError, DimensionMismatch, LPError
 from minkbill.geometry import (
     Ball,
     Gauge,
+    HomothetLambda,
     VPolytope,
+    body_gauge,
     diff_gauge,
     euclidean_gauge,
+    min_homothet_cover,
+    polar,
+)
+from minkbill.sampling import (
+    random_body_origin_interior,
+    random_polytope,
+    random_symmetric_polytope,
+    rng_from,
 )
 
 MIDPOINTS = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
@@ -57,7 +71,7 @@ def test_length_dimension_mismatch(triangle):
 
 def test_triangle_relative_length(triangle):
     traj = shortest_trajectory(triangle, diff_gauge(triangle), starts=16, seed=0)
-    assert traj.gauge_length == pytest.approx(1.5, abs=1e-3)
+    assert traj.gauge_length == pytest.approx(1.5, abs=1e-9)
     assert traj.lam == pytest.approx(1.0, abs=1e-6)
     assert traj.converged
     assert 2 <= traj.bounces <= 3
@@ -77,16 +91,16 @@ def test_disk_self_gauge_diameter(disk):
 def test_simplex_relative_length(simplex3):
     traj = shortest_trajectory(simplex3, diff_gauge(simplex3), starts=8, seed=0,
                                stall_limit=6)
-    assert traj.gauge_length == pytest.approx(4.0 / 3.0, abs=1e-2)
+    assert traj.gauge_length == pytest.approx(4.0 / 3.0, abs=1e-9)
 
 
 def test_scaling_covariance(triangle):
     alpha = 2.5
     big = triangle.scale(alpha)
     traj = shortest_trajectory(big, diff_gauge(big), starts=8, seed=0)
-    assert traj.gauge_length == pytest.approx(1.5, abs=1e-3)  # gauge scales too
+    assert traj.gauge_length == pytest.approx(1.5, abs=1e-9)  # gauge scales too
     mixed = shortest_trajectory(big, diff_gauge(triangle), starts=8, seed=0)
-    assert mixed.gauge_length == pytest.approx(alpha * 1.5, abs=alpha * 1e-3)
+    assert mixed.gauge_length == pytest.approx(alpha * 1.5, abs=1e-9)
 
 
 def test_solver_deterministic(triangle):
@@ -115,6 +129,108 @@ def test_segment_bound_after_edge_drop(triangle):
 def test_capacity_reading_matches_solver(disk):
     val = capacity_product_polar(disk, euclidean_gauge(2), starts=8, seed=0)
     assert val == pytest.approx(4.0, abs=1e-3)
+
+
+def test_disk_asymmetric_gauge_keeps_orientation(disk):
+    # reversing a polygon changes its length under an asymmetric gauge, so
+    # the search must not report the longer orientation
+    g = Gauge(VPolytope([[-0.5, -0.5], [1.5, -0.5], [-0.5, 1.5]]))
+    traj = shortest_trajectory(disk, g, starts=2, seed=0, stall_limit=2)
+    assert traj.gauge_length <= trajectory_length(traj.points[::-1], g) + 1e-9
+    assert verify_reflection(traj, disk, g).max_violation <= 1e-6
+
+
+# --- exact path (polytope table, polyhedral gauge) ------------------------------
+
+def _exact_cases():
+    cases = []
+    for i in range(4):
+        K = random_symmetric_polytope(rng_from(0, 31, i), dim=2 if i < 3 else 3,
+                                      points=4)
+        cases.append((K, body_gauge(K), 4.0))
+        cases.append((K, diff_gauge(K), 2.0))
+    for i in range(4):
+        K = random_body_origin_interior(rng_from(0, 32, i), dim=2)
+        cases.append((K, body_gauge(K), None))
+    for i in range(3):
+        K = random_polytope(rng_from(0, 33, i), dim=2, points=6)
+        cases.append((K, diff_gauge(K), None))
+    return cases
+
+
+def test_exact_f1_repro():
+    K = random_body_origin_interior(rng_from(0, 5, 2), 2)
+    g = body_gauge(K)
+    traj = shortest_trajectory(K, g)
+    assert traj.gauge_length == pytest.approx(3.5656358, abs=1e-7)
+    assert verify_reflection(traj, K, g).max_violation <= 1e-9
+
+
+def test_exact_theorem_values_and_certificates():
+    for K, g, expected in _exact_cases():
+        traj = shortest_trajectory(K, g)
+        if expected is not None:
+            # symmetric K: 4 under its own gauge, 2 under the difference body
+            assert traj.gauge_length == pytest.approx(expected, abs=1e-9)
+        elif g.label == "body":
+            assert traj.gauge_length >= 3.0 - 1e-9
+        assert min_homothet_cover(K, traj.points).lam == pytest.approx(1.0, abs=1e-9)
+        assert verify_reflection(traj, K, g).max_violation <= 1e-6
+
+
+def test_exact_beats_every_facet_seed():
+    for K, g, _ in _exact_cases():
+        length = shortest_trajectory(K, g).gauge_length
+        for m in range(2, K.dim + 2):
+            for seed in _facet_seeds(K, m):
+                lam = min_homothet_cover(K, seed).lam
+                if lam > 1e-9:
+                    assert length <= trajectory_length(seed, g) / lam + 1e-9
+
+
+def _dual_formula_length(K, g):
+    # LP duality: the cycle LP of (y, order) has the value 1 / (covering
+    # ratio, by the polar of the gauge ball, of the partial sums of
+    # y_j u_j taken in that order); every order counts, reversed ones too
+    lam = HomothetLambda(K)
+    gauge_polar = polar(g.unit_ball)
+    best = math.inf
+    for y in lam._W:
+        S = np.flatnonzero(y > 1e-12)
+        for rest in itertools.permutations(S[1:]):
+            order = [S[0], *rest]
+            sums = np.cumsum(y[order, None] * lam._U[order], axis=0)
+            best = min(best, 1.0 / min_homothet_cover(gauge_polar, sums).lam)
+    return best
+
+
+def test_exact_matches_dual_formula():
+    cases = []
+    for i in range(4):
+        K = random_body_origin_interior(rng_from(0, 32, i), dim=2)
+        other = random_body_origin_interior(rng_from(0, 34, i), dim=2)
+        cases += [(K, body_gauge(K)), (K, body_gauge(other))]
+    K3 = random_symmetric_polytope(rng_from(0, 31, 3), dim=3, points=4)
+    cases.append((K3, diff_gauge(K3)))
+    for K, g in cases:
+        assert shortest_trajectory(K, g).gauge_length == pytest.approx(
+            _dual_formula_length(K, g), abs=1e-9)
+
+
+def test_exact_ignores_search_budget(triangle):
+    g = diff_gauge(triangle)
+    a = shortest_trajectory(triangle, g, starts=1, seed=5, stall_limit=1)
+    b = shortest_trajectory(triangle, g, starts=64, seed=0)
+    np.testing.assert_array_equal(a.points, b.points)
+
+
+def test_exact_raises_when_lp_fails(triangle, monkeypatch):
+    def failing(*args, **kwargs):
+        return OptimizeResult(status=4, message="numerical difficulties", x=None)
+
+    monkeypatch.setattr(billiards, "linprog", failing)
+    with pytest.raises(LPError):
+        shortest_trajectory(triangle, diff_gauge(triangle))
 
 
 # --- reflection certificates ----------------------------------------------------

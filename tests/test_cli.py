@@ -171,3 +171,19 @@ def test_bad_seed_env_rejected(tmp_path):
     proc = run_cli("billiard", "--body", body,
                    env_extra={"MINKBILL_SEED": "lots"})
     assert proc.returncode == 2
+
+
+def test_billiard_reflection_residual_exits_4(tmp_path, monkeypatch, capsys):
+    from minkbill import cli
+    from minkbill.billiards import ReflectionCertificate
+
+    def bad_certificate(traj, K, g):
+        return ReflectionCertificate(momenta=traj.points, multipliers=traj.points[:, 0],
+                                     max_violation=0.5)
+
+    monkeypatch.setattr(cli, "verify_reflection", bad_certificate)
+    body = write_json(tmp_path / "body.json", TRIANGLE)
+    assert cli.main(["billiard", "--body", body]) == cli.EXIT_NO_CONVERGENCE
+    assert json.loads(capsys.readouterr().out)["violation"] == 0.5
+    # the residual is judged against --tol converged
+    assert cli.main(["billiard", "--body", body, "--tol", "converged=1"]) == cli.EXIT_OK

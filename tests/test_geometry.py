@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from minkbill.geometry import (
     is_noncoverable,
     min_homothet_cover,
     polar,
+    polygonize,
     smallest_enclosing_ball,
     volume,
 )
@@ -294,6 +296,15 @@ def test_homothet_lambda_fast_path(triangle, sym_square):
         for _ in range(250):
             S = rng.uniform(-1, 1, size=(rng.integers(1, 7), 2))
             assert fast(S) == pytest.approx(min_homothet_cover(K, S).lam, abs=1e-9)
+
+
+def test_homothet_lambda_refuses_huge_facet_count():
+    # C(720, 3) facet triples would need gigabytes of working arrays
+    K = polygonize(Ball(np.zeros(2), 1.0), 720)
+    t0 = time.perf_counter()
+    with pytest.raises(InputError):
+        HomothetLambda(K)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_homothet_lambda_ball_path(disk):
