@@ -19,8 +19,7 @@
   lambda are positively homogeneous, so the repair is loss-free).
 
 The length of the result equals the Hofer-Zehnder capacity of the product of
-the table with the polar of the gauge ball; ``capacity_product_polar`` is
-that reading of the same number.
+the table with the polar of the gauge ball.
 """
 
 from __future__ import annotations
@@ -195,31 +194,6 @@ def _canonical_cycle(pts: np.ndarray, reversible: bool):
     return np.roll(ordered, -s, axis=0), best_key
 
 
-def _edge_length_fn(g: Gauge):
-    """Closure summing the gauge over edge rows, tuned for the hot loop."""
-    B = g.unit_ball
-    if isinstance(B, Ball):
-        c, r = B.center, B.radius
-        if np.linalg.norm(c) < 1e-15:
-            def length_of(E):
-                return float(np.sqrt((E * E).sum(axis=1)).sum() / r)
-        else:
-            a = r * r - c @ c
-
-            def length_of(E):
-                s = E @ c
-                q = (E * E).sum(axis=1)
-                return float(((np.sqrt(s * s + a * q) - s) / a).sum())
-    else:
-        U, b = B.facet_data()
-        M = U / b[:, None]
-
-        def length_of(E):
-            return float((M @ E.T).max(axis=0).sum())
-
-    return length_of
-
-
 def _cycle_lps_best(M, s, d, coefs):
     """Smallest optimum, and its points, over the cycle LPs of support size s.
 
@@ -326,7 +300,6 @@ def _search_polygon(K: ConvexBody, g: Gauge, lam_of: HomothetLambda, starts: int
     """
     d = K.dim
     sample = _boundary_sampler(K)
-    length_of = _edge_length_fn(g)
     best = None  # (sort key, length, canonical points)
 
     def consider(pts, length):
@@ -346,7 +319,7 @@ def _search_polygon(K: ConvexBody, g: Gauge, lam_of: HomothetLambda, starts: int
         def repaired(pts, lam):
             c = pts.mean(axis=0)
             fixed = c + (pts - c) / lam
-            return length_of(fixed[nxt] - fixed), fixed
+            return float(g.values(fixed[nxt] - fixed).sum()), fixed
 
         incumbent = None
         lam0 = lam_of(x0)
@@ -360,7 +333,7 @@ def _search_polygon(K: ConvexBody, g: Gauge, lam_of: HomothetLambda, starts: int
         for k, mu in enumerate(_MU_STAGES[first:]):
             def objective(flat):
                 pts = flat.reshape(m, d)
-                length = length_of(pts[nxt] - pts)
+                length = g.values(pts[nxt] - pts).sum()
                 gap = 1.0 - lam_of(pts)
                 if gap > 0.0:
                     length += mu * gap * gap
@@ -459,12 +432,6 @@ def shortest_trajectory(K: ConvexBody, g: Gauge, starts: int = 64, seed: int = 0
     else:
         pts = _exact_polygon(lam_of, g)
     return _finish(K, g, lam_of, pts, tol)
-
-
-def capacity_product_polar(K: ConvexBody, g: Gauge, starts: int = 64,
-                           seed: int = 0) -> float:
-    """Capacity of the table times the polar gauge ball, as a billiard length."""
-    return shortest_trajectory(K, g, starts=starts, seed=seed).gauge_length
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Everything here is an explicit Gamma-function expression: the width constant
 W_n of the sphere-projection argument, the pushforward density rho_m, the
 cylinder cross-section bound, and the fractional covering bound
-2*sqrt((c(k-1)+1)k). Log-gamma is a local Lanczos evaluation so the module
-has no special-function dependency; tests cross-check it against the stdlib.
+2*sqrt((c(k-1)+1)k). Gamma and log-gamma come from the standard library's
+``math.gamma`` and ``math.lgamma``.
 
 The Mahler-type product of the covering chapter is included as a probe: a
 counterexample would be significant, so a failure warns loudly instead of
@@ -15,46 +15,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InputError
 from .geometry import ConvexBody, difference_body, polar, volume
-
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(z: float) -> float:
-    """Lanczos (g=7, 9 terms) log Gamma for positive real arguments."""
-    z = float(z)
-    if z <= 0.0:
-        raise InputError("log_gamma needs a positive argument")
-    if z < 0.5:
-        # reflection keeps the series on z >= 0.5
-        return math.log(math.pi / math.sin(math.pi * z)) - log_gamma(1.0 - z)
-    z -= 1.0
-    x = _LANCZOS_C[0]
-    for i in range(1, 9):
-        x += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(x)
-
-
-def _gamma(z: float) -> float:
-    return math.exp(log_gamma(z))
 
 
 def unit_ball_volume(d: int) -> float:
@@ -62,34 +27,14 @@ def unit_ball_volume(d: int) -> float:
         raise InputError("dimension must be nonnegative")
     if d == 0:
         return 1.0
-    return math.pi ** (d / 2.0) / _gamma(d / 2.0 + 1.0)
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
 def sphere_surface_area(n: int) -> float:
     """Surface area of the unit sphere S^{n-1} in R^n."""
     if n < 1:
         raise InputError("n must be at least 1")
-    return 2.0 * math.pi ** (n / 2.0) / _gamma(n / 2.0)
-
-
-@dataclass
-class FractionalParams:
-    n: int = 3
-    m: int = 2
-    k: int = 1
-    c: float = 0.0
-
-    def __post_init__(self):
-        self.n, self.m, self.k = int(self.n), int(self.m), int(self.k)
-        self.c = float(self.c)
-        if self.n < 2:
-            raise InputError("n must be at least 2")
-        if self.m < 1:
-            raise InputError("m must be at least 1")
-        if self.k < 1:
-            raise InputError("k must be at least 1")
-        if not 0.0 <= self.c <= 1.0:
-            raise InputError("c must lie in [0, 1]")
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def W_constant(n: int) -> float:
@@ -97,7 +42,8 @@ def W_constant(n: int) -> float:
     n = int(n)
     if n < 2:
         raise InputError("W_constant needs n >= 2")
-    return math.exp(log_gamma((n - 1) / 2.0) + log_gamma(0.5) - log_gamma(n / 2.0))
+    return math.exp(math.lgamma((n - 1) / 2.0) + math.lgamma(0.5)
+                    - math.lgamma(n / 2.0))
 
 
 def rho_density(m: int, x) -> float:
@@ -115,7 +61,7 @@ def rho_density(m: int, x) -> float:
     if r2 > 1.0 + 1e-12:
         raise InputError("point lies outside the unit ball")
     r2 = min(r2, 1.0)
-    coef = 2.0 * math.pi ** (m / 2.0) / _gamma(m / 2.0)
+    coef = 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
     return coef * (1.0 - r2) ** (m / 2.0 - 1.0)
 
 
@@ -125,7 +71,7 @@ def cylinder_bound(n: int, m: int) -> float:
     if not 2 <= m < n:
         raise InputError("cylinder_bound needs 2 <= m < n")
     return math.exp((n - m) / 2.0 * math.log(math.pi)
-                    + log_gamma(m / 2.0) - log_gamma(n / 2.0))
+                    + math.lgamma(m / 2.0) - math.lgamma(n / 2.0))
 
 
 def cylinder_conjecture_target(n: int, m: int) -> float:
@@ -218,7 +164,7 @@ def pushforward_check(n: int, m: int, samples: int = 1_000_000, seed: int = 0,
     edges = np.linspace(r_min, r_max, shells + 1)
     total = sphere_surface_area(n)
     worst = 0.0
-    coef = 2.0 * math.pi ** (m / 2.0) / _gamma(m / 2.0)
+    coef = 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
     for lo, hi in zip(edges[:-1], edges[1:]):
         frac = float(((r >= lo) & (r < hi)).mean())
         shell_vol = unit_ball_volume(d) * (hi ** d - lo ** d)

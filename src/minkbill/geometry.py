@@ -288,7 +288,9 @@ class Gauge:
     """Minkowski functional of a convex unit ball with the origin interior.
 
     Not assumed symmetric: gauge(x) != gauge(-x) in general. The dual value
-    of y is the support function of the unit ball at y.
+    of y is the support function of the unit ball at y. ``values``,
+    ``duals`` and ``support_points`` evaluate many rows at once; ``value``,
+    ``dual`` and ``support_point`` are their single-point forms.
     """
 
     def __init__(self, unit_ball: ConvexBody, label: str = "custom"):
@@ -300,6 +302,7 @@ class Gauge:
             if gap <= 1e-12 * unit_ball.radius:
                 raise GaugeError("origin is not interior to the unit ball")
             self._mode = "ball"
+            self._centred = not unit_ball.center.any()
         else:
             normals, offsets = unit_ball.facet_data()
             if (offsets <= 1e-12).any():
@@ -322,32 +325,55 @@ class Gauge:
         return float((math.sqrt(s * s + a * q) - s) / a)
 
     def values(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, float))
+        X = np.asarray(X, float)
+        if X.ndim == 1:
+            X = X[None, :]
         if self._mode == "poly":
             vals = (self._U @ X.T) / self._b[:, None]
             return np.maximum(vals.max(axis=0), 0.0)
         c, r = self.unit_ball.center, self.unit_ball.radius
+        q = (X * X).sum(axis=1)
+        if self._centred:
+            # the billiard search evaluates a few edges at a time, so the
+            # per-call cost matters more here than anywhere else
+            return np.sqrt(q) / r
         a = r * r - c @ c
         s = X @ c
-        q = np.einsum("ij,ij->i", X, X)
         return (np.sqrt(s * s + a * q) - s) / a
 
     def dual(self, y) -> float:
         return self.unit_ball.support(y)
 
+    def duals(self, Y) -> np.ndarray:
+        Y = np.atleast_2d(np.asarray(Y, float))
+        if self._mode == "poly":
+            # both polytope classes keep their vertex table
+            return (Y @ self.unit_ball.vertices.T).max(axis=1)
+        B = self.unit_ball
+        return B.radius * np.linalg.norm(Y, axis=1) + Y @ B.center
+
     def support_point(self, y) -> np.ndarray:
         return self.unit_ball.support_point(y)
+
+    def support_points(self, Y) -> np.ndarray:
+        """Rows of unit-ball points attaining ``duals(Y)``."""
+        Y = np.atleast_2d(np.asarray(Y, float))
+        if self._mode == "poly":
+            V = self.unit_ball.vertices
+            return V[np.argmax(Y @ V.T, axis=1)]
+        B = self.unit_ball
+        n = np.linalg.norm(Y, axis=1)
+        # rows of zero length map to the centre, as in support_point
+        return B.center + B.radius * Y / np.where(n < 1e-15, 1.0, n)[:, None]
 
     @property
     def symmetric(self) -> bool:
         if self._symmetric is None:
-            if isinstance(self.unit_ball, Ball):
+            if self._mode == "ball":
                 self._symmetric = bool(
                     np.linalg.norm(self.unit_ball.center) <= 1e-9 * self.unit_ball.radius)
             else:
-                U, _ = self.unit_ball.facet_data()
-                h = np.array([self.unit_ball.support(u) for u in U])
-                hneg = np.array([self.unit_ball.support(-u) for u in U])
+                h, hneg = self.duals(self._U), self.duals(-self._U)
                 scale = np.abs(h).max() + 1.0
                 self._symmetric = bool(np.abs(h - hneg).max() <= 1e-9 * scale)
         return self._symmetric

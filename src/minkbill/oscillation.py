@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .billiards import shortest_trajectory
 from .errors import DimensionMismatch, FieldError, InputError, StallError
@@ -192,6 +191,10 @@ class EmbeddedGraph:
 # sampling and refinement
 
 def _halton_in_body(K: ConvexBody, samples: int) -> np.ndarray:
+    # scipy.stats costs more to import than the rest of the CLI; only this
+    # sampler needs it
+    from scipy.stats import qmc
+
     lo, hi = K.bounding_box()
     eng = qmc.Halton(d=K.dim, scramble=False)
     pts = []
@@ -289,14 +292,6 @@ def _refine_extremum(K: ConvexBody, x0, value_of, ascent_dir, maximize: bool,
     return best, x
 
 
-def _dual_many(g: Gauge, Y: np.ndarray) -> np.ndarray:
-    B = g.unit_ball
-    if isinstance(B, Ball):
-        return B.radius * np.linalg.norm(Y, axis=1) + Y @ B.center
-    V = _as_vertex_body(B).vertices
-    return (Y @ V.T).max(axis=1)
-
-
 def oscillation(F: PolynomialField, K: ConvexBody, samples: int = 4096) -> float:
     """max F - min F over K from low-discrepancy samples plus refinement."""
     if F.dim != K.dim:
@@ -320,7 +315,7 @@ def min_dual_grad(F: PolynomialField, K: ConvexBody, g: Gauge,
         raise DimensionMismatch("field, body, and gauge dimensions differ")
     pts = _sample_points(K, samples)
     grads = F.grad_many(pts)
-    vals = _dual_many(g, grads)
+    vals = g.duals(grads)
 
     def value_of(x):
         return g.dual(F.grad(x))
@@ -424,29 +419,19 @@ def _is_difference_gauge(g: Gauge, K: ConvexBody) -> bool:
 # ---------------------------------------------------------------------------
 # connected graphs and covering homothets
 
-def _subdivided_points(G: EmbeddedGraph, gd: Gauge, max_len: float = 1e-3):
-    pts = [G.nodes]
-    for i, j in G.edges:
-        p, q = G.nodes[i], G.nodes[j]
-        pieces = int(math.ceil(gd.value(q - p) / max_len))
-        if pieces > 1:
-            t = np.arange(1, pieces)[:, None] / pieces
-            pts.append(p + t * (q - p))
-    return np.vstack(pts)
-
-
 def graph_cover_check(G: EmbeddedGraph, K: ConvexBody, tol: float = 1e-9):
     """Total edge length h (difference-body gauge) vs the covering ratio.
 
     The claim being checked: a connected graph of total relative length h
-    fits inside a homothet h*K + t. Returns (h, lambda, ok).
+    fits inside a homothet h*K + t. Returns (h, lambda, ok). A homothet of
+    K covers a segment iff it covers both endpoints, so lambda is the
+    covering ratio of the nodes alone.
     """
     if G.nodes.shape[1] != K.dim:
         raise DimensionMismatch("graph and body dimensions differ")
-    gd = diff_gauge(K)
-    h = float(sum(gd.value(G.nodes[j] - G.nodes[i]) for i, j in G.edges))
-    pts = _subdivided_points(G, gd)
-    lam = min_homothet_cover(K, pts).lam
+    I, J = np.array(G.edges).T
+    h = float(diff_gauge(K).values(G.nodes[J] - G.nodes[I]).sum())
+    lam = min_homothet_cover(K, G.nodes).lam
     return h, float(lam), bool(lam <= h + tol)
 
 
@@ -459,7 +444,6 @@ def merge_cover(G: EmbeddedGraph, K: ConvexBody):
     merge runs along a spanning tree, so the final ratio is exactly h.
     Returns (delta, translation).
     """
-    gd = diff_gauge(K)
     fits = {}
     for e, (i, j) in enumerate(G.edges):
         seg = np.stack([G.nodes[i], G.nodes[j]])

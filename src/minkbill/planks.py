@@ -250,7 +250,8 @@ def covering_check(K: ConvexBody, planks, threshold: float = 1.0) -> CoveringRep
             raise DimensionMismatch("plank normal dimension differs from body")
     body, U, b = _body_rows(K)
     euclid = sum((p.hi - p.lo) / np.linalg.norm(p.normal) for p in planks)
-    rel = sum(plank_width(p, diff_gauge(K)) for p in planks)
+    gd = diff_gauge(K)
+    rel = sum(plank_width(p, gd) for p in planks)
 
     warning = None
     if len(planks) > _EXACT_LIMIT:
@@ -316,34 +317,25 @@ def almost_parallel_check(normals, g: Gauge, tol: float = 1e-6,
     m = len(N)
     if N.shape[1] != g.dim:
         raise DimensionMismatch("normal dimension differs from gauge")
-    for n in N:
-        v = g.dual(n)
-        if abs(v - 1.0) > 1e-6:
-            raise InputError("normals must be dual-unit for this check")
+    if (np.abs(g.duals(N) - 1.0) > 1e-6).any():
+        raise InputError("normals must be dual-unit for this check")
 
     rng = rng_from(0, 777)
     for j in range(m):
-        best = math.inf
-        start_list = [np.eye(m)[j]]
-        for _ in range(max(0, int(starts) - 1)):
-            c = rng.uniform(0.0, 1.5, size=m)
-            c[j] = 1.0
-            start_list.append(c)
-        for c0 in start_list:
-            c = c0.copy()
-            val = g.dual(N.T @ c)
-            for t in range(int(iters)):
-                sub = N @ g.support_point(N.T @ c)
-                step = 0.25 / math.sqrt(t + 1.0)
-                c = c - step * sub
-                c[c < 0.0] = 0.0
-                c[j] = 1.0
-                v = g.dual(N.T @ c)
-                if v < val:
-                    val = v
-            best = min(best, val)
-            if best < 1.0 - tol:
-                return False
+        # all starts for this j descend together, one row of C each
+        randoms = rng.uniform(0.0, 1.5, size=(max(0, int(starts) - 1), m))
+        C = np.vstack([np.eye(m)[j], randoms])
+        C[:, j] = 1.0
+        val = g.duals(C @ N)
+        for t in range(int(iters)):
+            sub = g.support_points(C @ N) @ N.T
+            step = 0.25 / math.sqrt(t + 1.0)
+            C = C - step * sub
+            C[C < 0.0] = 0.0
+            C[:, j] = 1.0
+            val = np.minimum(val, g.duals(C @ N))
+        if val.min() < 1.0 - tol:
+            return False
     return True
 
 

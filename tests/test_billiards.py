@@ -9,7 +9,6 @@ from minkbill import billiards
 from minkbill.billiards import (
     Trajectory,
     _facet_seeds,
-    capacity_product_polar,
     shortest_trajectory,
     trajectory_length,
     verify_reflection,
@@ -124,11 +123,6 @@ def test_segment_bound_after_edge_drop(triangle):
         total = traj.gauge_length - g.value(pts[(drop + 1) % m] - pts[drop])
         assert total >= 1.0 - 1e-6
         assert open_len <= total + 1e-9
-
-
-def test_capacity_reading_matches_solver(disk):
-    val = capacity_product_polar(disk, euclidean_gauge(2), starts=8, seed=0)
-    assert val == pytest.approx(4.0, abs=1e-3)
 
 
 def test_disk_asymmetric_gauge_keeps_orientation(disk):

@@ -26,6 +26,15 @@ def write_json(path, obj):
     return str(path)
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is the slowest import; only the oscillation sampler uses it
+    code = "import sys, minkbill.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_fractional_w(tmp_path):
     params = write_json(tmp_path / "p.json", {"n": 3})
     proc = run_cli("fractional", "--op", "W", "--params", params)

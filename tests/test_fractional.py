@@ -6,12 +6,10 @@ from numpy.polynomial.legendre import leggauss
 
 from minkbill.errors import DimensionMismatch, InputError
 from minkbill.fractional import (
-    FractionalParams,
     W_constant,
     cylinder_bound,
     cylinder_conjecture_target,
     fractional_bang_bound,
-    log_gamma,
     mahler_product,
     plank_multiplicity_probe,
     pushforward_check,
@@ -31,22 +29,7 @@ def W_quadrature(n):
     return float(np.sum(w * 0.5 * math.pi * np.cos(th) ** (n - 2)))
 
 
-# --- gamma ----------------------------------------------------------------------
-
-def test_log_gamma_matches_reference():
-    for z in [0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 25.5, 0.1, 14.99]:
-        rel = abs(log_gamma(z) - math.lgamma(z)) / (1.0 + abs(math.lgamma(z)))
-        assert rel <= 1e-13
-
-
-def test_log_gamma_reflection_branch():
-    for z in [0.25, 0.05, 0.49, 0.011]:
-        assert log_gamma(z) == pytest.approx(math.lgamma(z), abs=1e-11)
-    with pytest.raises(InputError):
-        log_gamma(0.0)
-    with pytest.raises(InputError):
-        log_gamma(-1.5)
-
+# --- ball volumes and sphere areas ----------------------------------------------
 
 def test_unit_volumes():
     assert unit_ball_volume(0) == pytest.approx(1.0)
@@ -163,15 +146,6 @@ def test_bound_rejects_bad_params():
         fractional_bang_bound(0, 0.5)
     with pytest.raises(InputError):
         fractional_bang_bound(2, 1.5)
-
-
-def test_params_validation():
-    p = FractionalParams(n=5, m=2, k=3, c=0.25)
-    assert p.n == 5
-    with pytest.raises(InputError):
-        FractionalParams(n=1, m=1, k=1, c=0.0)
-    with pytest.raises(InputError):
-        FractionalParams(n=3, m=2, k=1, c=2.0)
 
 
 # --- vector sums ------------------------------------------------------------------------------

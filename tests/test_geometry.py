@@ -112,6 +112,40 @@ def test_gauge_vectorized_matches_scalar():
     np.testing.assert_allclose(g.values(X), [g.value(x) for x in X], atol=1e-12)
 
 
+BATCH_GAUGES = [
+    Gauge(Ball(np.zeros(2), 1.0)),
+    Gauge(Ball(np.zeros(3), 2.5)),
+    Gauge(Ball(np.array([0.3, -0.2]), 1.1)),
+    Gauge(VPolytope(np.array([[1.0, 0.2], [-0.4, 1.0], [-1.0, -0.7], [0.8, -1.0]]))),
+    Gauge(HPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                    np.array([1.0, 0.5, 2.0]))),
+    Gauge(VPolytope(np.array([[1.0, 0.0, 0.0], [0.0, 1.2, 0.0], [0.0, 0.0, 0.9],
+                              [-0.7, -0.6, -0.8]]))),
+]
+
+
+@pytest.mark.parametrize("g", BATCH_GAUGES, ids=lambda g: repr(g.unit_ball))
+def test_gauge_batches_match_single_point_forms(g):
+    X = np.random.default_rng(11).normal(size=(40, g.dim))
+    X[0] = 0.0
+    np.testing.assert_allclose(g.values(X), [g.value(x) for x in X], atol=1e-12)
+    np.testing.assert_allclose(g.duals(X), [g.dual(x) for x in X], atol=1e-12)
+    P = g.support_points(X)
+    # each support point lies on the unit ball and attains the dual value
+    np.testing.assert_allclose(np.einsum("ij,ij->i", P, X), g.duals(X), atol=1e-12)
+    np.testing.assert_allclose(g.values(P[1:]), 1.0, atol=1e-9)
+    for x, p in zip(X, P):
+        np.testing.assert_allclose(p, g.support_point(x), atol=1e-12)
+
+
+def test_gauge_batches_accept_a_single_row(sym_square):
+    g = Gauge(sym_square)
+    y = np.array([1.0, -2.0])
+    assert g.duals(y).shape == (1,)
+    assert g.duals(y)[0] == pytest.approx(g.dual(y))
+    np.testing.assert_allclose(g.support_points(y)[0], g.support_point(y))
+
+
 def test_gauge_requires_origin_interior():
     with pytest.raises(GaugeError):
         Gauge(VPolytope(np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])))

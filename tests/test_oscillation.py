@@ -9,7 +9,14 @@ from minkbill.errors import (
     InputError,
     StallError,
 )
-from minkbill.geometry import Ball, Gauge, VPolytope, diff_gauge, euclidean_gauge
+from minkbill.geometry import (
+    Ball,
+    Gauge,
+    VPolytope,
+    diff_gauge,
+    euclidean_gauge,
+    min_homothet_cover,
+)
 from minkbill.oscillation import (
     EmbeddedGraph,
     PolynomialField,
@@ -240,6 +247,19 @@ def test_graph_path(triangle):
     assert h == pytest.approx(0.7, abs=1e-12)
     assert lam <= 0.7 + 1e-9
     assert ok
+
+
+def test_graph_long_edges_fit_the_nodes_alone(triangle):
+    # edges far longer than the body: the covering homothet of the nodes
+    # also covers every edge, so the nodes alone give lambda
+    nodes = np.array([[0.0, 0.0], [9.0, 1.0], [-4.0, 7.0], [3.0, -6.0]])
+    G = EmbeddedGraph(nodes, [(0, 1), (1, 2), (0, 3)])
+    h, lam, ok = graph_cover_check(G, triangle)
+    assert lam == pytest.approx(min_homothet_cover(triangle, nodes).lam, abs=1e-12)
+    t = np.linspace(0.0, 1.0, 101)[:, None]
+    dense = np.vstack([nodes[i] + t * (nodes[j] - nodes[i]) for i, j in G.edges])
+    assert lam == pytest.approx(min_homothet_cover(triangle, dense).lam, abs=1e-9)
+    assert ok and lam <= h
 
 
 def test_graph_merge_certificate(triangle):

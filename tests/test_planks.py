@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minkbill.errors import DimensionMismatch, InputError
-from minkbill.geometry import Ball, VPolytope, diff_gauge, euclidean_gauge
+from minkbill.geometry import Ball, Gauge, VPolytope, diff_gauge, euclidean_gauge
 from minkbill.planks import (
     Plank,
     almost_parallel_check,
@@ -224,6 +224,14 @@ def test_almost_parallel_nonneg_dots():
             if G[~np.eye(4, dtype=bool)].min() >= 0.0:
                 break
         assert almost_parallel_check(list(vs), g)
+
+
+def test_almost_parallel_polytope_gauge(sym_square):
+    # the square's dual gauge is the l1 norm: c1 e1 + c2 e2 has dual value
+    # c1 + c2 >= 1, while e1 and -e1 cancel
+    g = Gauge(sym_square)
+    assert almost_parallel_check([E1, E2], g)
+    assert not almost_parallel_check([E1, -E1], g)
 
 
 def test_almost_parallel_requires_normalized():
