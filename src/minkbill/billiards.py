@@ -9,7 +9,13 @@
   shortest polygon that meets the linear row sum_i y_i <u_i, q_i> >= 1 is a
   small LP. The shortest length is the smallest optimum over every dual
   vertex and every cyclic order, so this path is deterministic and ignores
-  ``starts``, ``seed`` and ``stall_limit``.
+  ``starts``, ``seed`` and ``stall_limit``. By weak duality each LP's value
+  is at least 1 / max_k h_B(P_k - t) for every translation t, where
+  P_k = -(y_1 u_1 + ... + y_k u_k) over the facets in cycle order and h_B
+  is the support function of the gauge ball. The LPs are solved in
+  ascending order of this bound, and those whose bound cannot beat the
+  incumbent by more than the tie tolerance are skipped, which leaves the
+  optimum unchanged.
 - **Heuristic path** (the table or the gauge's unit ball is a ``Ball``). It
   minimizes the cyclic gauge length of a polygon with m bounce points, m
   swept over {2, ..., dim+1}, by multi-start Nelder-Mead. The constraint
@@ -47,6 +53,7 @@ from .lp import solve_lp
 _MU_STAGES = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 _SUPPORT_TOL = 1e-12  # dual weights at or below this are outside the support
 _LP_BATCH_ROWS = 512  # constraint rows per block-diagonal batch of cycle LPs
+_BOUND_CHUNK = 64  # cycle candidates per vectorized lower-bound evaluation
 
 
 @dataclass
@@ -194,12 +201,54 @@ def _canonical_cycle(pts: np.ndarray, reversible: bool):
     return np.roll(ordered, -s, axis=0), best_key
 
 
-def _cycle_lps_best(M, s, d, coefs):
-    """Smallest optimum, and its points, over the cycle LPs of support size s.
+def _beats(val: float, best) -> bool:
+    """True when ``val`` is shorter than ``best`` (None for no incumbent) by
+    more than the tie tolerance."""
+    return best is None or val < best - 1e-12 * (1.0 + best)
+
+
+def _cycle_lower_bounds(g: Gauge, coefs: np.ndarray, s: int, d: int) -> np.ndarray:
+    """Weak-duality lower bound on the value of every cycle LP of support
+    size s (one per row of ``coefs``, as in ``_cycle_lps_best``).
+
+    With q_1 = 0 and edges e_k = q_{k+1} - q_k, the LP's row reads
+    sum_k <P_k, e_k> >= 1, where P_k = c_{k+1} + ... + c_s (so P_s = 0) are
+    the suffix sums of the coefficient rows c_2..c_s. The edges close up,
+    so any translation t may be subtracted from every P_k, and
+    <P_k - t, e_k> <= h_B(P_k - t) g(e_k) for the gauge ball B. Hence the
+    LP value is at least 1 / max_k h_B(P_k - t), with equality at the best
+    t (LP duality). The bound takes the best t among the centroids of every
+    nonempty subset of the P_k. These include the P_k themselves, their
+    mean, and their pairwise midpoints, which make the bound exact for
+    2-point cycles under a symmetric gauge. Candidates go through
+    ``g.duals`` ``_BOUND_CHUNK`` at a time, so memory stays bounded however
+    many there are.
+    """
+    # row r: the weights of the centroid of the r-th nonempty subset
+    masks = (np.arange(1, 2 ** s)[:, None] >> np.arange(s)) & 1
+    centroids = masks / masks.sum(axis=1, keepdims=True)
+    out = np.empty(len(coefs))
+    for first in range(0, len(coefs), _BOUND_CHUNK):
+        c = coefs[first:first + _BOUND_CHUNK].reshape(-1, s - 1, d)
+        n = len(c)
+        P = np.concatenate([np.cumsum(c[:, ::-1], axis=1)[:, ::-1],
+                            np.zeros((n, 1, d))], axis=1)
+        T = centroids @ P
+        h = g.duals((P[:, None] - T[:, :, None]).reshape(-1, d))
+        out[first:first + n] = 1.0 / h.reshape(n, -1, s).max(axis=2).min(axis=1)
+    return out
+
+
+def _cycle_lps_best(M, s, d, coefs, lower, incumbent):
+    """Smallest optimum, and its points, over the cycle LPs of support size s
+    that can beat ``incumbent`` (None when there is none yet).
 
     One LP per row of ``coefs``: points q_1..q_s with q_1 = 0 and edge
     lengths t_1..t_s >= 0; minimize sum t subject to M (q_{i+1} - q_i) <= t_i
-    and coefs . (q_2..q_s) >= 1. The LPs are solved a few at a time as one
+    and coefs . (q_2..q_s) >= 1. The rows come sorted by their ``lower``
+    bounds, and solving stops before the first batch whose bound does
+    not beat the best value so far, because no LP left can. Returns None
+    when nothing was solved. The LPs are solved a few at a time as one
     block-diagonal program of at most ``_LP_BATCH_ROWS`` rows (larger
     programs raise HiGHS's peak memory); the blocks share no variable, so
     every block of the joint optimum is optimal for its own LP.
@@ -231,9 +280,12 @@ def _cycle_lps_best(M, s, d, coefs):
         return np.tile(cost, k), a_ub, b_ub, np.tile(bounds, (k, 1))
 
     best = None
+    limit = incumbent  # the value a remaining LP must beat
     programs = {}  # batch size -> (cost, a_ub, b_ub, bounds)
     per_batch = max(1, _LP_BATCH_ROWS // (s * nf + 1))
     for first in range(0, len(coefs), per_batch):
+        if not _beats(lower[first], limit):
+            break
         chunk = coefs[first:first + per_batch]
         k = len(chunk)
         if k not in programs:
@@ -249,25 +301,18 @@ def _cycle_lps_best(M, s, d, coefs):
         i = int(np.argmin(vals))
         if best is None or vals[i] < best[0]:
             best = (vals[i], x[i, :nq])
+        limit = vals[i] if limit is None else min(limit, vals[i])
+    if best is None:
+        return None
     return best[0], np.vstack([np.zeros(d), best[1].reshape(s - 1, d)])
 
 
-def _exact_polygon(lam_of: HomothetLambda, g: Gauge) -> np.ndarray:
-    """Shortest noncoverable polygon for a polytope table and a polyhedral
-    gauge, as the best of one LP per dual vertex and cyclic support order.
-
-    lambda(Q) = max_y sum_j y_j h_Q(u_j) over the dual vertices y that
-    ``lam_of`` holds, so lambda(Q) >= 1 exactly when some y and some choice
-    of one polygon point per support facet meet sum_i y_i <u_i, q_i> >= 1.
-    Each support facet may take its own point, because points may coincide,
-    and U^T y = 0 makes that row translation invariant, so q_1 can be pinned.
-    Orders count up to rotation, and up to reversal under a symmetric gauge.
-    """
+def _cycle_candidates(lam_of: HomothetLambda, g: Gauge) -> dict:
+    """Cycle LP coefficient rows (on q_2..q_s) by support size s: one per
+    dual vertex y that ``lam_of`` holds and cyclic order of y's support,
+    up to rotation, and up to reversal under a symmetric gauge."""
     U, W = lam_of._U, lam_of._W
-    d = U.shape[1]
-    Ug, bg = g.unit_ball.facet_data()
-    M = Ug / bg[:, None]
-    groups = {}  # support size -> rows of LP coefficients on q_2..q_s
+    groups = {}
     seen = set()
     for y in W:
         S = tuple(np.flatnonzero(y > _SUPPORT_TOL))
@@ -279,12 +324,38 @@ def _exact_polygon(lam_of: HomothetLambda, g: Gauge) -> np.ndarray:
                 continue
             idx = list(rest)
             groups.setdefault(len(S), []).append((y[idx, None] * U[idx]).ravel())
+    return {s: np.asarray(rows) for s, rows in sorted(groups.items())}
+
+
+def _exact_polygon(lam_of: HomothetLambda, g: Gauge) -> np.ndarray:
+    """Shortest noncoverable polygon for a polytope table and a polyhedral
+    gauge, as the best of one LP per dual vertex and cyclic support order.
+
+    lambda(Q) = max_y sum_j y_j h_Q(u_j) over the dual vertices y that
+    ``lam_of`` holds, so lambda(Q) >= 1 exactly when some y and some choice
+    of one polygon point per support facet meet sum_i y_i <u_i, q_i> >= 1.
+    Each support facet may take its own point, because points may coincide,
+    and U^T y = 0 makes that row translation invariant, so q_1 can be pinned.
+
+    Support sizes go in increasing order, and a larger one must beat the
+    incumbent by more than the tie tolerance, so fewer bounces win ties.
+    Within one size the LPs are solved in ascending order of their
+    weak-duality lower bounds 1 / max_k h_B(P_k - t) (see
+    ``_cycle_lower_bounds``), and solving stops once the next bound does not
+    beat the incumbent: the LPs left cannot, so the result is unchanged.
+    """
+    d = lam_of._U.shape[1]
+    Ug, bg = g.unit_ball.facet_data()
+    M = Ug / bg[:, None]
     best = None
-    for s in sorted(groups):
-        val, pts = _cycle_lps_best(M, s, d, np.asarray(groups[s]))
+    for s, coefs in _cycle_candidates(lam_of, g).items():
+        lower = _cycle_lower_bounds(g, coefs, s, d)
+        order = np.argsort(lower, kind="stable")
+        incumbent = None if best is None else best[0]
+        found = _cycle_lps_best(M, s, d, coefs[order], lower[order], incumbent)
         # on a tie the polygon with fewer bounces stays
-        if best is None or val < best[0] - 1e-12 * (1.0 + best[0]):
-            best = (val, pts)
+        if found is not None and _beats(found[0], incumbent):
+            best = found
     pts = best[1]
     return pts / lam_of(pts)
 
@@ -305,7 +376,7 @@ def _search_polygon(K: ConvexBody, g: Gauge, lam_of: HomothetLambda, starts: int
     def consider(pts, length):
         nonlocal best
         canon, cycle_key = _canonical_cycle(pts, g.symmetric)
-        key = (round(length, 9), cycle_key)
+        key = (length, cycle_key)
         if best is None or key < best[0]:
             best = (key, length, canon)
             return True

@@ -70,6 +70,25 @@ def _default_seed() -> int:
         raise InputError(f"MINKBILL_SEED must be an integer, got {raw!r}")
 
 
+def _number(inputs: dict, key: str, default, kind=float):
+    """``kind(inputs[key])``, or of ``default`` when the key is absent. Config
+    and params files may hold any JSON value, so one that does not convert
+    to a finite number is an input problem."""
+    value = inputs.get(key, default)
+    try:
+        out = kind(value)
+        finite = np.isfinite(np.asarray(out, float)).all()
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise InputError(f"{key!r} must be numeric and finite, got {value!r}")
+    return out
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, float)
+
+
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -119,7 +138,7 @@ def _write_svg(config: RunConfig, K: ConvexBody, **scene):
 def _cmd_billiard(config: RunConfig) -> int:
     K = _load_body(config.inputs["body"])
     g = _make_gauge(config.inputs.get("gauge", "diff"), K)
-    starts = int(config.inputs.get("starts", 64))
+    starts = _number(config.inputs, "starts", 64, int)
     traj = shortest_trajectory(K, g, starts=starts, seed=config.seed)
     cert = verify_reflection(traj, K, g)
     _emit(config, traj.to_dict(violation=cert.max_violation))
@@ -139,7 +158,7 @@ def _cmd_cover_check(config: RunConfig) -> int:
     cover = [plank_from_dict(p) for p in raw]
     if not config.inputs.get("fractional", False):
         cover = [type(p)(p.normal, p.lo, p.hi, 1.0) for p in cover]
-    threshold = float(config.inputs.get("threshold", 1.0))
+    threshold = _number(config.inputs, "threshold", 1.0)
     report = covering_check(K, cover, threshold=threshold)
     _emit(config, report.to_dict())
     _write_svg(config, K, planks=cover,
@@ -151,7 +170,7 @@ def _cmd_oscillation(config: RunConfig) -> int:
     K = _load_body(config.inputs["body"])
     F = field_from_dict(_read_json(config.inputs["field"]))
     variant = config.inputs.get("variant", "diff1x")
-    samples = int(config.inputs.get("samples", 4096))
+    samples = _number(config.inputs, "samples", 4096, int)
     lhs, rhs, ok = verify_oscillation_bound(
         F, K, variant, samples=samples, tol=config.tol("bound", 1e-6),
         seed=config.seed)
@@ -168,18 +187,18 @@ def _cmd_fractional(config: RunConfig) -> int:
     value = bound = None
     ok = True
     if op == "W":
-        value = fractional.W_constant(int(params.get("n", 3)))
+        value = fractional.W_constant(_number(params, "n", 3, int))
     elif op == "rho":
-        value = fractional.rho_density(int(params.get("m", 2)),
-                                       params.get("x", [0.0]))
+        value = fractional.rho_density(_number(params, "m", 2, int),
+                                       _number(params, "x", [0.0], _floats))
     elif op == "cyl":
-        n, m = int(params.get("n", 4)), int(params.get("m", 2))
+        n, m = _number(params, "n", 4, int), _number(params, "m", 2, int)
         value = fractional.cylinder_bound(n, m)
         bound = fractional.cylinder_conjecture_target(n, m)
         ok = bool(value <= bound + 1e-12)
     elif op == "bound":
-        value = fractional.fractional_bang_bound(int(params.get("k", 1)),
-                                                 float(params.get("c", 0.0)))
+        value = fractional.fractional_bang_bound(_number(params, "k", 1, int),
+                                                 _number(params, "c", 0.0))
     elif op == "mahler":
         if "body" in params:
             K = body_from_dict(params["body"])
@@ -192,7 +211,7 @@ def _cmd_fractional(config: RunConfig) -> int:
         if "vectors" not in params:
             raise InputError("sumnorm params need 'vectors'")
         value, bound, ok = fractional.sum_norm_lower(
-            params["vectors"], float(params.get("c", 0.0)))
+            _number(params, "vectors", None, _floats), _number(params, "c", 0.0))
     else:
         raise InputError(f"unknown op {op!r}")
     _emit(config, {"op": op, "value": value, "bound": bound, "ok": bool(ok)})
@@ -203,7 +222,7 @@ def _cmd_ball_cut(config: RunConfig) -> int:
     tol = config.tol("additivity", 1e-9)
     sweep = config.inputs.get("sweep")
     if sweep is not None:
-        n = int(sweep)
+        n = _number(config.inputs, "sweep", None, int)
         if n < 1:
             raise InputError("sweep must be positive")
         worst = 0.0
@@ -217,7 +236,7 @@ def _cmd_ball_cut(config: RunConfig) -> int:
         return EXIT_OK if all_ok else EXIT_PROBE
     if config.inputs.get("tau0") is None:
         raise InputError("ball-cut needs --tau0 or --sweep")
-    tau0 = float(config.inputs["tau0"])
+    tau0 = _number(config.inputs, "tau0", None)
     c1, c2, total, _ = ballcut.verify_cut_additivity(tau0)
     ok = abs(total - math.pi) <= tol
     _emit(config, {"c1": c1, "c2": c2, "sum": total, "ok": ok})
@@ -333,11 +352,9 @@ def _config_from_args(args) -> RunConfig:
                 raise InputError(f"bad --tol value {raw!r}")
     if isinstance(ns.get("tolerances"), dict):  # config-file form
         tolerances.update(ns["tolerances"])
-    seed = ns.get("seed")
-    if seed is None:
-        seed = _default_seed()
+    seed = _default_seed() if ns.get("seed") is None else _number(ns, "seed", None, int)
     inputs = {k: ns[k] for k in _INPUT_KEYS if ns.get(k) is not None}
-    return RunConfig(command=ns["command"], inputs=inputs, seed=int(seed),
+    return RunConfig(command=ns["command"], inputs=inputs, seed=seed,
                      tolerances=tolerances, out=ns.get("out"),
                      svg=ns.get("svg"))
 

@@ -1,9 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, linprog
 
 from minkbill import billiards
 from minkbill.billiards import (
@@ -134,6 +135,15 @@ def test_disk_asymmetric_gauge_keeps_orientation(disk):
     assert verify_reflection(traj, disk, g).max_violation <= 1e-6
 
 
+def test_search_keeps_the_shortest_of_near_ties(equilateral):
+    # with this seed, three starts reach sqrt(3) to within 3.5e-12; the
+    # shortest obeys the reflection law, the longest misses it by 2.9e-6
+    g = euclidean_gauge(2)
+    traj = shortest_trajectory(equilateral, g, starts=4, seed=840333869, stall_limit=6)
+    assert traj.gauge_length == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    assert verify_reflection(traj, equilateral, g).max_violation <= 1e-6
+
+
 # --- exact path (polytope table, polyhedral gauge) ------------------------------
 
 def _exact_cases():
@@ -225,6 +235,108 @@ def test_exact_raises_when_lp_fails(triangle, monkeypatch):
     monkeypatch.setattr(billiards, "linprog", failing)
     with pytest.raises(LPError):
         shortest_trajectory(triangle, diff_gauge(triangle))
+
+
+def _cycle_lp_counter(monkeypatch):
+    # each cycle LP block of a batched call has one -1 entry in b_ub
+    solved = []
+
+    def counting(*args, **kwargs):
+        solved.append(int((kwargs["b_ub"] < 0).sum()))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(billiards, "linprog", counting)
+    return solved
+
+
+def _ellipse_ngon(n, a, b, center=(0.0, 0.0), jitter=None):
+    ang = 2.0 * np.pi * (np.arange(n) + (0.0 if jitter is None else jitter)) / n
+    return VPolytope(np.stack([a * np.cos(ang), b * np.sin(ang)], axis=1)
+                     + np.asarray(center))
+
+
+def test_cycle_lower_bounds_are_sound():
+    cases = []
+    for i in range(2):
+        K = random_polytope(rng_from(0, 35, i), dim=2, points=7)
+        S = random_symmetric_polytope(rng_from(0, 36, i), dim=2, points=4)
+        other = random_body_origin_interior(rng_from(0, 37, i), dim=2)
+        cases += [(K, diff_gauge(K)), (K, body_gauge(other)), (S, diff_gauge(S))]
+    K3 = random_polytope(rng_from(0, 35, 9), dim=3, points=6)
+    S3 = random_symmetric_polytope(rng_from(0, 36, 9), dim=3, points=4)
+    other3 = random_body_origin_interior(rng_from(0, 37, 9), dim=3)
+    cases += [(K3, diff_gauge(K3)), (K3, body_gauge(other3)), (S3, diff_gauge(S3))]
+    pairs = 0
+    for K, g in cases:
+        d = K.dim
+        Ug, bg = g.unit_ball.facet_data()
+        M = Ug / bg[:, None]
+        for s, coefs in billiards._cycle_candidates(HomothetLambda(K), g).items():
+            lower = billiards._cycle_lower_bounds(g, coefs, s, d)
+            for row, bound in zip(coefs, lower):
+                val, _ = billiards._cycle_lps_best(M, s, d, row[None], [-math.inf], None)
+                assert bound <= val * (1.0 + 1e-9)
+                if s == 2 and g.symmetric:
+                    pairs += 1
+                    assert bound == pytest.approx(val, rel=1e-9)
+    assert pairs > 0
+
+
+def test_cycle_lps_stop_only_when_no_lp_can_win():
+    # exact values are the tightest valid lower bounds
+    K = random_polytope(rng_from(0, 35, 0), dim=2, points=7)
+    g = body_gauge(random_body_origin_interior(rng_from(0, 37, 0), dim=2))
+    Ug, bg = g.unit_ball.facet_data()
+    M = Ug / bg[:, None]
+    coefs = billiards._cycle_candidates(HomothetLambda(K), g)[3]
+    vals = np.array([billiards._cycle_lps_best(M, 3, 2, row[None], [-math.inf], None)[0]
+                     for row in coefs])
+    order = np.argsort(vals)
+    coefs, vals = coefs[order], vals[order]
+    best = vals[0]
+    assert billiards._cycle_lps_best(M, 3, 2, coefs, vals, None)[0] == pytest.approx(best)
+    # an incumbent beaten by more than the tie tolerance is beaten
+    found = billiards._cycle_lps_best(M, 3, 2, coefs, vals, best * (1.0 + 1e-9))
+    assert found[0] == pytest.approx(best, rel=1e-12)
+    # a tie within the tolerance keeps the incumbent
+    assert billiards._cycle_lps_best(M, 3, 2, coefs, vals, best * (1.0 + 1e-14)) is None
+
+
+@pytest.mark.parametrize("K", [_ellipse_ngon(32, 1.0, 1.0), _ellipse_ngon(32, 1.0, 0.6)],
+                         ids=["regular", "ellipse"])
+def test_exact_prunes_many_facet_polygons(K, monkeypatch):
+    solved = _cycle_lp_counter(monkeypatch)
+    traj = shortest_trajectory(K, diff_gauge(K))
+    assert traj.gauge_length == pytest.approx(2.0, abs=1e-9)
+    assert traj.bounces == 2
+    assert 0 < sum(solved) < 100
+
+
+def test_exact_pruned_asymmetric_matches_dual_formula(monkeypatch):
+    jitter = 0.5 * rng_from(0, 38).uniform(size=12)
+    K = _ellipse_ngon(12, 1.0, 0.7, center=(0.3, 0.1), jitter=jitter)
+    g = body_gauge(K)
+    assert not g.symmetric
+    solved = _cycle_lp_counter(monkeypatch)
+    length = shortest_trajectory(K, g).gauge_length
+    assert length == pytest.approx(_dual_formula_length(K, g), abs=1e-9)
+    assert sum(solved) < sum(len(c) for c in
+                             billiards._cycle_candidates(HomothetLambda(K), g).values())
+
+
+def test_exact_bounds_memory_stays_bounded():
+    # 24 facets: a dense (candidates x translations x s x gauge vertices)
+    # bound array would take about 24 MB on its own
+    K = random_symmetric_polytope(rng_from(0, 40, 0), dim=3, points=10)
+    g = diff_gauge(K)
+    tracemalloc.start()
+    try:
+        traj = shortest_trajectory(K, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.gauge_length == pytest.approx(2.0, abs=1e-9)
+    assert peak < 16e6
 
 
 # --- reflection certificates ----------------------------------------------------

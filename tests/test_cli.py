@@ -154,6 +154,25 @@ def test_output_bytes_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command, flag, entry", [
+    ("fractional", "--params", {"n": "x"}),
+    ("billiard", "--config", {"starts": "many"}),
+    ("ball-cut", "--config", {"sweep": "lots"}),
+    ("ball-cut", "--config", {"tau0": [1.0]}),
+    ("ball-cut", "--config", {"tau0": "nan"}),
+])
+def test_non_numeric_file_value_is_input_error(tmp_path, command, flag, entry):
+    body = write_json(tmp_path / "body.json", TRIANGLE)
+    args = {"fractional": ["--op", "W"], "billiard": ["--body", body],
+            "ball-cut": []}[command]
+    path = write_json(tmp_path / "values.json", entry)
+    proc = run_cli(command, *args, flag, path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert repr(next(iter(entry))) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_config_file_overrides_flags(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"tau0": math.pi / 2.0})
     proc = run_cli("ball-cut", "--tau0", "1.0", "--config", cfg)
