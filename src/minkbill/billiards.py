@@ -1,31 +1,35 @@
 """Shortest closed billiard trajectories in a convex body under a gauge.
 
-``shortest_trajectory`` picks one of two paths from the kind of input:
+``shortest_trajectory`` solves every input exactly, by the program that
+fits its kind. Its length xi equals the Hofer-Zehnder capacity of the
+product of the table with the polar of the gauge ball.
 
-- **Exact path** (the table is a polytope and the gauge's unit ball is a
-  polytope). Noncoverability is lambda(Q) >= 1, and lambda(Q) is the largest
-  value of sum_j y_j h_Q(u_j) over the dual vertices y of the covering
-  program. For one y and one cyclic order of its support facets, the
-  shortest polygon that meets the linear row sum_i y_i <u_i, q_i> >= 1 is a
-  small LP. The shortest length is the smallest optimum over every dual
-  vertex and every cyclic order, so this path is deterministic and ignores
-  ``starts``, ``seed`` and ``stall_limit``. By weak duality each LP's value
-  is at least 1 / max_k h_B(P_k - t) for every translation t, where
-  P_k = -(y_1 u_1 + ... + y_k u_k) over the facets in cycle order and h_B
-  is the support function of the gauge ball. The LPs are solved in
-  ascending order of this bound, and those whose bound cannot beat the
-  incumbent by more than the tie tolerance are skipped, which leaves the
-  optimum unchanged.
-- **Heuristic path** (the table or the gauge's unit ball is a ``Ball``). It
-  minimizes the cyclic gauge length of a polygon with m bounce points, m
-  swept over {2, ..., dim+1}, by multi-start Nelder-Mead. The constraint
-  lambda(q_1..q_m) >= 1 enters the objective as a quadratic penalty whose
-  weight is ramped up over outer stages, and every candidate is finally
-  repaired by the exact scaling that sets lambda = 1 (both the length and
-  lambda are positively homogeneous, so the repair is loss-free).
+- **Polytope table, polytope gauge ball.** Noncoverability is lambda(Q) >= 1,
+  and lambda(Q) is the largest value of sum_j y_j h_Q(u_j) over the dual
+  vertices y of the covering program. For one y and one cyclic order of its
+  support facets, the shortest polygon that meets the linear row
+  sum_i y_i <u_i, q_i> >= 1 is a small LP. The shortest length is the
+  smallest optimum over every dual vertex and every cyclic order. By weak
+  duality each LP's value is at least 1 / max_k h_B(P_k - t) for every
+  translation t, where P_k = -(y_1 u_1 + ... + y_k u_k) over the facets in
+  cycle order and h_B is the support function of the gauge ball. The LPs
+  are solved in ascending order of this bound, and those whose bound cannot
+  beat the incumbent by more than the tie tolerance are skipped, which
+  leaves the optimum unchanged.
+- **Polytope table, ball gauge.** The same candidates, but LP duality makes
+  each value 1 / (covering ratio of the P_k by the polar ellipsoid B°),
+  which a linear map turns into a smallest-enclosing-ball radius. The
+  polygon is read off that ball's centre and boundary points; no LP is
+  solved.
+- **Ball table, polytope gauge.** The symplectic swap (q, p) -> (p, -q)
+  gives xi_B(K) = xi_{(-K)°}(B°) (Artstein-Avidan and Ostrover): the polytope
+  table B° under a centred ball gauge, solved as above. The bounce points
+  are the negated momenta of the swapped billiard.
+- **Ball table, ball gauge.** After the swap and a linear map both bodies
+  are centrally symmetric, so xi = 4 inradius (Artstein-Avidan, Karasev and
+  Ostrover), attained by a diameter of the table.
 
-The length of the result equals the Hofer-Zehnder capacity of the product of
-the table with the polar of the gauge ball.
+Nothing is random: ``starts``, ``seed`` and ``stall_limit`` have no effect.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from itertools import permutations
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog, nnls
 
 from .errors import BodyError, DimensionMismatch, GaugeError, LPError
 from .geometry import (
@@ -45,15 +49,16 @@ from .geometry import (
     Gauge,
     HomothetLambda,
     _as_vertex_body,
+    _seb_small,
     min_homothet_cover,
     polar,
 )
 from .lp import solve_lp
 
-_MU_STAGES = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 _SUPPORT_TOL = 1e-12  # dual weights at or below this are outside the support
 _LP_BATCH_ROWS = 512  # constraint rows per block-diagonal batch of cycle LPs
 _BOUND_CHUNK = 64  # cycle candidates per vectorized lower-bound evaluation
+_BALL_CHUNK = 1024  # cycle candidates per batch of enclosing balls (~4 KB each)
 
 
 @dataclass
@@ -103,108 +108,19 @@ def trajectory_length(traj, g: Gauge) -> float:
 # ---------------------------------------------------------------------------
 # solver
 
-def _boundary_sampler(K: ConvexBody):
-    c = K.interior_point()
-    if isinstance(K, Ball):
-        r = K.radius
-
-        def sample(rng, count):
-            x = rng.normal(size=(count, K.dim))
-            x /= np.linalg.norm(x, axis=1)[:, None]
-            return c + r * x
-    else:
-        recentered = Gauge(K.translate(-c))
-
-        def sample(rng, count):
-            x = rng.normal(size=(count, K.dim))
-            return c + x / recentered.values(x)[:, None]
-
-    return sample
-
-
-def _facet_seeds(K: ConvexBody, m: int):
-    """Deterministic starting polygons tied to the facial structure of K."""
-    d = K.dim
-    seeds = []
-    if isinstance(K, Ball):
-        c, r = K.center, K.radius
-        if m == 2:
-            for i in range(d):
-                e = np.zeros(d)
-                e[i] = r
-                seeds.append(np.stack([c + e, c - e]))
-        elif m == 3:
-            ang = 2.0 * np.pi * np.arange(3) / 3.0
-            tri = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            if d == 2:
-                seeds.append(c + r * tri)
-            else:
-                seeds.append(c + r * np.column_stack([tri, np.zeros(3)]))
-        elif m == 4 and d == 3:
-            tet = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
-                            [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]) / math.sqrt(3.0)
-            seeds.append(c + r * tet)
-        return seeds
-
-    U, b = K.facet_data()
-    F = len(U)
-    V = _as_vertex_body(K).vertices
-    if m == 2:
-        for j in range(F):
-            q1 = K.support_point(-U[j])
-            q2 = q1 + (b[j] - U[j] @ q1) * U[j]
-            seeds.append(np.stack([q1, q2]))
-    else:
-        # cycles through facet midpoints (2d) or facet centroids (3d)
-        if d == 2:
-            vals = V @ U.T - b
-            mids = []
-            for j in range(F):
-                on = V[np.abs(vals[:, j]) <= 1e-9 * (1.0 + np.abs(b[j]))]
-                if len(on) >= 2:
-                    mids.append(on.mean(axis=0))
-            mids = np.asarray(mids)
-        else:
-            from scipy.spatial import ConvexHull
-            hull = ConvexHull(V)
-            mids = np.asarray([V[s].mean(axis=0) for s in hull.simplices])
-        F2 = len(mids)
-        if F2 >= m:
-            for j in range(F2):
-                idx = [(j + k) % F2 for k in range(m)]
-                seeds.append(mids[idx])
-            if F2 == m:
-                seeds = seeds[:1]
-    return seeds
-
-
-def _canonical_cycle(pts: np.ndarray, reversible: bool):
-    """Rotation-invariant ordering of a closed polygon, also invariant under
-    reversal when ``reversible`` (reversing changes the length under an
-    asymmetric gauge, so it is then not a symmetry).
-
-    Returns the reordered (exact) points plus the rounded comparison key;
-    rounding is confined to the key so coordinates stay untouched.
-    """
-    rounded = np.round(pts, 9) + 0.0
-    best_key = None
-    best_cfg = None
-    for rev in (False, True) if reversible else (False,):
-        seq = rounded[::-1] if rev else rounded
-        for s in range(len(seq)):
-            key = tuple(np.roll(seq, -s, axis=0).ravel())
-            if best_key is None or key < best_key:
-                best_key = key
-                best_cfg = (rev, s)
-    rev, s = best_cfg
-    ordered = pts[::-1] if rev else pts
-    return np.roll(ordered, -s, axis=0), best_key
-
-
 def _beats(val: float, best) -> bool:
     """True when ``val`` is shorter than ``best`` (None for no incumbent) by
     more than the tie tolerance."""
     return best is None or val < best - 1e-12 * (1.0 + best)
+
+
+def _suffix_sums(coefs: np.ndarray, s: int, d: int) -> np.ndarray:
+    """The points P_1..P_s of every cycle candidate (one per row of
+    ``coefs``), as an array (candidates, s, d): P_k = c_{k+1} + ... + c_s,
+    so P_s = 0, over the coefficient rows c_2..c_s."""
+    c = coefs.reshape(-1, s - 1, d)
+    return np.concatenate([np.cumsum(c[:, ::-1], axis=1)[:, ::-1],
+                           np.zeros((len(c), 1, d))], axis=1)
 
 
 def _cycle_lower_bounds(g: Gauge, coefs: np.ndarray, s: int, d: int) -> np.ndarray:
@@ -229,10 +145,8 @@ def _cycle_lower_bounds(g: Gauge, coefs: np.ndarray, s: int, d: int) -> np.ndarr
     centroids = masks / masks.sum(axis=1, keepdims=True)
     out = np.empty(len(coefs))
     for first in range(0, len(coefs), _BOUND_CHUNK):
-        c = coefs[first:first + _BOUND_CHUNK].reshape(-1, s - 1, d)
-        n = len(c)
-        P = np.concatenate([np.cumsum(c[:, ::-1], axis=1)[:, ::-1],
-                            np.zeros((n, 1, d))], axis=1)
+        P = _suffix_sums(coefs[first:first + _BOUND_CHUNK], s, d)
+        n = len(P)
         T = centroids @ P
         h = g.duals((P[:, None] - T[:, :, None]).reshape(-1, d))
         out[first:first + n] = 1.0 / h.reshape(n, -1, s).max(axis=2).min(axis=1)
@@ -244,7 +158,7 @@ def _cycle_lps_best(M, s, d, coefs, lower, incumbent):
     that can beat ``incumbent`` (None when there is none yet).
 
     One LP per row of ``coefs``: points q_1..q_s with q_1 = 0 and edge
-    lengths t_1..t_s >= 0; minimize sum t subject to M (q_{i+1} - q_i) <= t_i
+    lengths t_1..t_s >= 0; min sum t subject to M (q_{i+1} - q_i) <= t_i
     and coefs . (q_2..q_s) >= 1. The rows come sorted by their ``lower``
     bounds, and solving stops before the first batch whose bound does
     not beat the best value so far, because no LP left can. Returns None
@@ -360,98 +274,91 @@ def _exact_polygon(lam_of: HomothetLambda, g: Gauge) -> np.ndarray:
     return pts / lam_of(pts)
 
 
-def _search_polygon(K: ConvexBody, g: Gauge, lam_of: HomothetLambda, starts: int,
-                    seed: int, stall_limit: int) -> np.ndarray:
-    """Best closed polygon found by penalized multi-start search.
+def _polar_ball_map(B: Ball) -> np.ndarray:
+    """Symmetric matrix A that maps the polar of the gauge ball B = c + rD
+    onto a translate of the unit ball.
 
-    Deterministic for a fixed seed. Each start owns the substream
-    (seed, m, start index), so results do not depend on how many other
-    starts ran before it; the sweep stops early for a given bounce count
-    after ``stall_limit`` consecutive random starts without improvement.
+    B° = {y : r|y| + <c, y> <= 1} is an ellipsoid when |c| < r. With
+    a = r^2 - |c|^2 its semi-axes are r/a along c and 1/sqrt(a) across c,
+    and A = sqrt(a) (I - c c^T / (r (r + sqrt(a)))) has the eigenvalues a/r
+    and sqrt(a) there. A centred ball gives A = r I.
     """
-    d = K.dim
-    sample = _boundary_sampler(K)
-    best = None  # (sort key, length, canonical points)
+    c, r = B.center, B.radius
+    s = math.sqrt(r * r - c @ c)
+    return s * (np.eye(len(c)) - np.outer(c, c) / (r * (r + s)))
 
-    def consider(pts, length):
-        nonlocal best
-        canon, cycle_key = _canonical_cycle(pts, g.symmetric)
-        key = (length, cycle_key)
-        if best is None or key < best[0]:
-            best = (key, length, canon)
-            return True
-        return False
 
-    def run_start(x0, m):
-        x = x0.ravel().copy()
-        n = x.size
-        nxt = np.arange(1, m + 1) % m
+def _ball_gauge_edges(lam_of: HomothetLambda, g: Gauge) -> np.ndarray:
+    """Edges e_1..e_s of the shortest noncoverable polygon for a polytope
+    table under a ball gauge, one per point P_k of the winning cycle
+    candidate (zero rows where the polygon does not move).
 
-        def repaired(pts, lam):
-            c = pts.mean(axis=0)
-            fixed = c + (pts - c) / lam
-            return float(g.values(fixed[nxt] - fixed).sum()), fixed
+    The cycle LP of a candidate has the value 1 / min_t max_k h_B(P_k - t)
+    (see ``_cycle_lower_bounds``). h_B is the gauge of the polar B°, so the
+    minimax is the covering ratio of the P_k by B°, and covering ratios are
+    linear invariants: it is the radius R of the smallest ball enclosing the
+    points A P_k, with A from ``_polar_ball_map``. So the shortest length is
+    1 / R over the candidate with the largest R, and no LP is solved.
 
-        incumbent = None
-        lam0 = lam_of(x0)
-        first = 0
-        if lam0 >= 1e-6:
-            incumbent = repaired(np.asarray(x0, float), lam0)
-            if lam0 >= 1.0 - 1e-3:
-                # already essentially feasible; the slack early stages would
-                # only walk far into the interior and back
-                first = 3
-        for k, mu in enumerate(_MU_STAGES[first:]):
-            def objective(flat):
-                pts = flat.reshape(m, d)
-                length = g.values(pts[nxt] - pts).sum()
-                gap = 1.0 - lam_of(pts)
-                if gap > 0.0:
-                    length += mu * gap * gap
-                return length
+    The primal polygon comes from that ball. Its centre t is a convex
+    combination sum_k w_k A P_k of the points on its boundary, and
+    e_k = w_k A (A P_k - t) / R^2 closes up, meets the LP's row with
+    equality and has the length 1 / R. Support sizes go in increasing order
+    and fewer bounces win ties, as in ``_exact_polygon``.
+    """
+    d = lam_of.dim
+    A = _polar_ball_map(g.unit_ball)
+    best = None  # (radius, centre, mapped points)
+    for s, coefs in _cycle_candidates(lam_of, g).items():
+        P = _suffix_sums(coefs, s, d) @ A
+        balls = [_seb_small(P[k:k + _BALL_CHUNK]) for k in range(0, len(P), _BALL_CHUNK)]
+        centres = np.concatenate([c for c, _ in balls])
+        radii = np.concatenate([r for _, r in balls])
+        i = int(np.argmax(radii))
+        if best is None or _beats(1.0 / radii[i], 1.0 / best[0]):
+            best = (radii[i], centres[i], P[i])
+    R, t, P = best
+    on = np.linalg.norm(P - t, axis=1) >= R * (1.0 - 1e-9)
+    w = np.zeros(len(P))
+    w[on] = nnls(np.vstack([P[on].T, np.ones(on.sum())]), np.r_[t, 1.0])[0]
+    return (w / w.sum())[:, None] * (P - t) @ A / (R * R)
 
-            last = mu == _MU_STAGES[-1]
-            res = minimize(objective, x, method="Nelder-Mead",
-                           options={"maxiter": (100 if last else 50) * n,
-                                    "xatol": 1e-9, "fatol": 1e-12,
-                                    "adaptive": d == 3})
-            x = res.x
-            pts = x.reshape(m, d)
-            lam = lam_of(pts)
-            if lam < 1e-6:
-                if k >= 2:
-                    return incumbent  # start collapsed, penalty cannot recover
-                continue
-            val, fixed = repaired(pts, lam)
-            improved = incumbent is None or val < incumbent[0] - 1e-9
-            if incumbent is None or val < incumbent[0]:
-                incumbent = (val, fixed)
-            # stop once the iterate is essentially feasible and the repaired
-            # value has stopped moving; earlier stages are too slack to trust
-            if lam >= 1.0 - 1e-6 and not improved:
-                break
-        return incumbent
 
-    for m in range(2, d + 2):
-        for s in _facet_seeds(K, m):
-            out = run_start(s, m)
-            if out is not None:
-                consider(out[1], out[0])
-        stall = 0
-        for i in range(starts):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, m, i)))
-            x0 = sample(rng, m)
-            out = run_start(x0, m)
-            if out is not None and consider(out[1], out[0]):
-                stall = 0
-            else:
-                stall += 1
-                if stall >= stall_limit:
-                    break
+def _ball_table_points(K: Ball, g: Gauge) -> np.ndarray:
+    """Bounce points for a ball table of radius R under a polytope gauge,
+    through the symplectic swap.
 
-    if best is None:
-        raise BodyError("no feasible billiard candidate found")
-    return best[2]
+    (q, p) -> (p, -q) maps K x B° onto B° x (-K). With K centred at the
+    origin, which leaves the length unchanged, this gives
+    xi_B(K) = xi_{(-K)°}(B°): the polytope table B° under the centred ball
+    gauge (-K)° = D / R, solved by ``_ball_gauge_edges``. Along its edge
+    e'_k the swapped billiard has the momentum p'_k = R e'_k / |e'_k|, the
+    point of -K that attains the edge's length, and the original billiard
+    bounces at the negated momenta -p'_k.
+    """
+    swapped = Gauge(Ball(np.zeros(K.dim), 1.0 / K.radius))
+    edges = _ball_gauge_edges(HomothetLambda(polar(g.unit_ball)), swapped)
+    edges = edges[(edges != 0.0).any(axis=1)]
+    return K.center - K.radius * edges / np.linalg.norm(edges, axis=1)[:, None]
+
+
+def _ball_ball_points(K: Ball, B: Ball) -> np.ndarray:
+    """The two bounce points for a ball table K = c_K + R D under the ball
+    gauge B = c + rD.
+
+    The swap turns the pair into the table B° under the gauge D / R, and
+    translating B° to its centre and applying ``_polar_ball_map`` makes both
+    centrally symmetric: the unit ball under the gauge ball A D / R. There
+    xi = 4 inradius (Artstein-Avidan, Karasev and Ostrover), the largest
+    s with s A D / R inside D, which is 4 R / sqrt(r^2 - |c|^2). The
+    diameter of K across c attains it.
+    """
+    c = B.center
+    u = np.eye(K.dim)[int(np.argmin(np.abs(c)))]
+    if c.any():
+        u = u - (u @ c) / (c @ c) * c
+    u /= np.linalg.norm(u)
+    return np.stack([K.center + K.radius * u, K.center - K.radius * u])
 
 
 def _finish(K: ConvexBody, g: Gauge, lam_of: HomothetLambda, pts: np.ndarray,
@@ -489,17 +396,29 @@ def _finish(K: ConvexBody, g: Gauge, lam_of: HomothetLambda, pts: np.ndarray,
 
 def shortest_trajectory(K: ConvexBody, g: Gauge, starts: int = 64, seed: int = 0,
                         tol: float = 1e-9, stall_limit: int = 24) -> Trajectory:
-    """Shortest closed billiard polygon of K under g.
+    """Shortest closed billiard polygon of K under g, by the exact program
+    that fits the kind of input (see the module docstring).
 
-    Exact when neither K nor the gauge's unit ball is a ``Ball``; then
-    ``starts``, ``seed`` and ``stall_limit`` have no effect. Otherwise the
-    best polygon of a seeded multi-start search (see the module docstring).
+    ``starts``, ``seed`` and ``stall_limit`` have no effect; they stay in
+    the signature for callers that still pass them. ``tol`` is the
+    tolerance of the final covering fit. A ``Ball`` table must have
+    dimension 2 or 3, as every polytope has.
     """
     if g.dim != K.dim:
         raise DimensionMismatch("body and gauge dimensions differ")
+    if isinstance(K, Ball) and K.dim not in (2, 3):
+        raise BodyError("billiard tables are supported in dimensions 2 and 3")
     lam_of = HomothetLambda(K)
-    if isinstance(K, Ball) or isinstance(g.unit_ball, Ball):
-        pts = _search_polygon(K, g, lam_of, starts, seed, stall_limit)
+    ball_gauge = isinstance(g.unit_ball, Ball)
+    if isinstance(K, Ball):
+        if ball_gauge:
+            pts = _ball_ball_points(K, g.unit_ball)
+        else:
+            pts = _ball_table_points(K, g)
+    elif ball_gauge:
+        edges = _ball_gauge_edges(lam_of, g)
+        pts = np.vstack([np.zeros(K.dim), np.cumsum(edges[:-1], axis=0)])
+        pts = pts / lam_of(pts)
     else:
         pts = _exact_polygon(lam_of, g)
     return _finish(K, g, lam_of, pts, tol)
@@ -582,7 +501,7 @@ def verify_reflection(traj, K: ConvexBody, g: Gauge, tol: float = 1e-6) -> Refle
         cones.append(cone)
 
     # variables: theta blocks (face coefficients), beta blocks (cone
-    # multipliers), v (uniform violation bound); minimize v
+    # multipliers), v (uniform violation bound); min v
     th_off, nvar = [], 0
     for kind, data in faces:
         th_off.append(nvar)

@@ -292,7 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("billiard")
     p.add_argument("--body", required=True)
     p.add_argument("--gauge", default="diff")
-    p.add_argument("--starts", type=int, default=64)
+    p.add_argument("--starts", type=int, default=64,
+                   help="no effect: every billiard is solved exactly "
+                        "(kept for old scripts)")
     p.add_argument("--svg", default=None)
     common(p)
 

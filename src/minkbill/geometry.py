@@ -8,7 +8,7 @@ The central nonstandard primitive is ``min_homothet_cover``: the smallest
 ``lambda`` such that ``lambda * K + t`` covers a finite point set, together
 with a covering translation. For a facet body this is the linear program
 
-    minimize lambda  s.t.  <u_j, s - t> <= lambda * b_j  for all s, j,
+    min lambda  s.t.  <u_j, s - t> <= lambda * b_j  for all s, j,
 
 which collapses to one constraint per facet after taking the per-facet max
 over the points. ``HomothetLambda`` precomputes the dual basic solutions of
@@ -474,7 +474,7 @@ def min_homothet_cover(K: ConvexBody, points, tol=1e-9) -> HomothetFit:
     U, b, c = _recenter_facets(K)
     h = (U @ pts.T).max(axis=1)
     d = K.dim
-    # variables (lambda, t): minimize lambda s.t. U t + lambda b >= h
+    # variables (lambda, t): min lambda s.t. U t + lambda b >= h
     cost = np.zeros(d + 1)
     cost[0] = 1.0
     a_ub = np.hstack([-b[:, None], -U])
@@ -592,39 +592,40 @@ def _dual_candidates(U, b):
 # smallest enclosing ball (dimensions 2 and 3)
 
 def _seb_small(P):
-    """Smallest enclosing ball of up to ~5 points by support-set enumeration.
+    """Smallest enclosing balls of a batch of point sets of up to ~5 points
+    each, by support-set enumeration.
 
-    Every candidate ball is the circumball of a subset of 2..d+1 points; the
-    smallest covering candidate is the answer.
+    P has shape (sets, points, d). Every candidate ball is the circumball of
+    a subset of 2..d+1 points; the smallest covering candidate is the
+    answer. Returns the centres (sets, d) and the radii (sets,).
     """
-    n, d = P.shape
-    if n == 2:
-        c = 0.5 * (P[0] + P[1])
-        return c, float(np.linalg.norm(P[0] - c))
-    centers = []
-    I, J = np.triu_indices(n, 1)
-    mid = 0.5 * (P[I] + P[J])
-    centers.append(mid)
+    n, k, d = P.shape
+    I, J = np.triu_indices(k, 1)
+    centers = [0.5 * (P[:, I] + P[:, J])]
     subset_sizes = [3] if d == 2 else [3, 4]
-    for k in subset_sizes:
-        if n < k:
+    for size in subset_sizes:
+        if k < size:
             break
-        idx = np.array(list(combinations(range(n), k)))
-        base = P[idx[:, 0]]
-        V = P[idx[:, 1:]] - base[:, None, :]
-        G = 2.0 * V @ np.swapaxes(V, 1, 2)
-        rhs = np.einsum("ijk,ijk->ij", V, V)
+        idx = np.array(list(combinations(range(k), size)))
+        base = P[:, idx[:, 0]]
+        V = P[:, idx[:, 1:]] - base[:, :, None, :]
+        G = 2.0 * V @ np.swapaxes(V, -1, -2)
+        rhs = np.einsum("...jk,...jk->...j", V, V)
         dets = np.linalg.det(G)
-        ok = np.abs(dets) > 1e-13 * (1.0 + np.abs(G).max())
-        if ok.any():
-            lam = np.linalg.solve(G[ok], rhs[ok][..., None])[..., 0]
-            centers.append(base[ok] + np.einsum("ij,ijk->ik", lam, V[ok]))
-    C = np.vstack(centers)
+        ok = np.abs(dets) > 1e-13 * (1.0 + np.abs(G).max(axis=(1, 2, 3)))[:, None]
+        # singular systems get the identity and then an infinite radius
+        lam = np.linalg.solve(np.where(ok[..., None, None], G, np.eye(size - 1)),
+                              rhs[..., None])[..., 0]
+        c = base + np.einsum("...j,...jk->...k", lam, V)
+        c[~ok] = np.inf
+        centers.append(c)
+    C = np.concatenate(centers, axis=1)
     # covering radius of each candidate center; the smallest one is the
     # exact optimum because the true center appears among the candidates
-    R = np.linalg.norm(C[:, None, :] - P[None, :, :], axis=2).max(axis=1)
-    k = int(np.argmin(R))
-    return C[k], float(R[k])
+    R = np.linalg.norm(C[:, :, None, :] - P[:, None, :, :], axis=-1).max(axis=-1)
+    best = np.argmin(R, axis=1)
+    rows = np.arange(n)
+    return C[rows, best], R[rows, best]
 
 
 def _circumball(boundary):
@@ -663,7 +664,8 @@ def smallest_enclosing_ball(points, seed=0):
     if n == 1:
         return pts[0].copy(), 0.0
     if n <= 5:
-        return _seb_small(pts)
+        center, radius = _seb_small(pts[None])
+        return center[0], float(radius[0])
     order = np.random.default_rng(seed).permutation(n)
     center, radius = _seb_with_boundary(pts, list(order), [], d)
     return center, float(radius)

@@ -147,7 +147,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None,
     scale = 1.0 + np.abs(b).max(initial=0.0)
 
     if n_art:
-        # phase 1: minimize the artificial sum
+        # phase 1: min the artificial sum
         T[-1, :] = 0.0
         for r in art_rows:
             T[-1, :] -= T[r, :]

@@ -375,7 +375,8 @@ def verify_oscillation_bound(F: PolynomialField, K: ConvexBody, variant: str,
 
     variant 'ball2x': K is the gauge's unit ball, factor 2. 'diff1x': the
     difference-body gauge, factor 1. 'billiard': factor is half the shortest
-    billiard length in K under g (pass xi to reuse a known length).
+    billiard length in K under g (pass xi to reuse a known length). The
+    billiard is exact, so ``seed`` has no effect; it stays for callers.
     Returns (lhs, rhs, ok).
     """
     if variant not in _VARIANTS:
@@ -398,8 +399,7 @@ def verify_oscillation_bound(F: PolynomialField, K: ConvexBody, variant: str,
         if g is None:
             g = diff_gauge(K)
         if xi is None:
-            xi = shortest_trajectory(K, g, starts=16, seed=seed,
-                                     stall_limit=8).gauge_length
+            xi = shortest_trajectory(K, g).gauge_length
         factor = 0.5 * float(xi)
     lhs = oscillation(F, K, samples)
     rhs = factor * min_dual_grad(F, K, g, samples)

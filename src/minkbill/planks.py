@@ -305,7 +305,7 @@ def almost_parallel_check(normals, g: Gauge, tol: float = 1e-6,
                           starts: int = 8, iters: int = 256) -> bool:
     """Test the defining inequality of an almost parallel family of normals.
 
-    For each index j the dual gauge of sum(c_i n_i) is minimized over
+    For each index j the dual gauge of sum(c_i n_i) is brought down over
     nonnegative weights with c_j fixed to 1; the family passes when every
     minimum stays above 1 - tol. Minimization is projected subgradient
     descent with deterministic multi-starts. Descent only ever evaluates

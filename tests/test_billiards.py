@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, linprog
+from scipy.spatial import ConvexHull
 
 from minkbill import billiards
 from minkbill.billiards import (
     Trajectory,
-    _facet_seeds,
     shortest_trajectory,
     trajectory_length,
     verify_reflection,
@@ -128,9 +128,13 @@ def test_segment_bound_after_edge_drop(triangle):
 
 def test_disk_asymmetric_gauge_keeps_orientation(disk):
     # reversing a polygon changes its length under an asymmetric gauge, so
-    # the search must not report the longer orientation
+    # the solver must not report the longer orientation. By the swap the
+    # value is the Euclidean one of the polar triangle, its Fagnano orbit:
+    # 2 area / circumradius = 16 sqrt(2) / 5 (Nelder-Mead with 64 starts
+    # reached 4.525483399593929)
     g = Gauge(VPolytope([[-0.5, -0.5], [1.5, -0.5], [-0.5, 1.5]]))
     traj = shortest_trajectory(disk, g, starts=2, seed=0, stall_limit=2)
+    assert traj.gauge_length == pytest.approx(16.0 * math.sqrt(2.0) / 5.0, abs=1e-12)
     assert traj.gauge_length <= trajectory_length(traj.points[::-1], g) + 1e-9
     assert verify_reflection(traj, disk, g).max_violation <= 1e-6
 
@@ -142,6 +146,104 @@ def test_search_keeps_the_shortest_of_near_ties(equilateral):
     traj = shortest_trajectory(equilateral, g, starts=4, seed=840333869, stall_limit=6)
     assert traj.gauge_length == pytest.approx(math.sqrt(3.0), abs=1e-12)
     assert verify_reflection(traj, equilateral, g).max_violation <= 1e-6
+
+
+# --- ball inputs: closed forms ---------------------------------------------------
+
+def _closed_form_cases():
+    s = 2.0 / math.sqrt(3.0)
+    equilateral = VPolytope([[0.0, 0.0], [s, 0.0], [s / 2.0, 1.0]])
+    right = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    simplex = VPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [0.0, 0.0, 1.0]])
+    return [
+        # the Fagnano orbit, half the perimeter
+        pytest.param(equilateral, euclidean_gauge(2), math.sqrt(3.0), id="equilateral"),
+        # twice the altitude onto the hypotenuse
+        pytest.param(right, euclidean_gauge(2), math.sqrt(2.0), id="right-triangle"),
+        pytest.param(Ball([0.5, -0.25], 1.5), Gauge(Ball(np.zeros(2), 0.6)), 4.0 * 1.5 / 0.6,
+                     id="disk-R-over-r"),
+        # twice the distance from the right corner to the opposite facet
+        pytest.param(simplex, euclidean_gauge(3), 2.0 / math.sqrt(3.0), id="simplex3"),
+        # the diameter across the gauge ball's offset c: 4 R / sqrt(r^2 - |c|^2)
+        pytest.param(Ball([0.2, 0.0, -0.1], 1.3), Gauge(Ball([0.1, -0.2, 0.3], 0.9)),
+                     4.0 * 1.3 / math.sqrt(0.81 - 0.14), id="ball3-off-centre-gauge"),
+    ]
+
+
+@pytest.mark.parametrize("K, g, expected", _closed_form_cases())
+def test_ball_input_closed_forms(K, g, expected):
+    traj = shortest_trajectory(K, g)
+    assert traj.gauge_length == pytest.approx(expected, abs=1e-12)
+    assert traj.lam == pytest.approx(1.0, abs=1e-12)
+    assert verify_reflection(traj, K, g).max_violation <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_ball_table_outside_2d_and_3d_rejected(dim):
+    with pytest.raises(BodyError, match="dimensions 2 and 3"):
+        shortest_trajectory(Ball(np.zeros(dim), 1.0), euclidean_gauge(dim))
+
+
+# --- metamorphic identities ------------------------------------------------------
+
+def _negated(K):
+    return VPolytope(-K.vertices)
+
+
+def test_swap_symmetry_polytope_pairs():
+    # (q, p) -> (p, -q) maps K x T° onto T° x (-K): xi_T(K) = xi_{(-K)°}(T°)
+    for i in range(12):
+        dim = 2 if i < 10 else 3
+        K = random_body_origin_interior(rng_from(0, 60, i), dim=dim, points=6)
+        T = random_body_origin_interior(rng_from(0, 61, i), dim=dim, points=6)
+        lhs = shortest_trajectory(K, Gauge(T)).gauge_length
+        rhs = shortest_trajectory(polar(T), Gauge(polar(_negated(K)))).gauge_length
+        assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def test_swap_symmetry_ball_polytope_pairs():
+    # the swapped side of a ball table under a polytope gauge is a polytope
+    # table under a centred ball gauge, and the other way round
+    for i in range(6):
+        dim = 2 if i < 4 else 3
+        T = random_body_origin_interior(rng_from(0, 62, i), dim=dim, points=6)
+        R = 0.5 + i / 4.0
+        table = Ball(rng_from(0, 63, i).normal(size=dim) * 0.3, R)
+        lhs = shortest_trajectory(table, Gauge(T)).gauge_length
+        rhs = shortest_trajectory(polar(T), Gauge(Ball(np.zeros(dim), 1.0 / R)))
+        assert lhs == pytest.approx(rhs.gauge_length, rel=1e-9)
+        rhs = shortest_trajectory(Ball(np.zeros(dim), 1.0 / R), Gauge(polar(_negated(T))))
+        lhs = shortest_trajectory(T, Gauge(Ball(np.zeros(dim), R)))
+        assert lhs.gauge_length == pytest.approx(rhs.gauge_length, rel=1e-9)
+
+
+def _inradius(K, g):
+    # the largest s with s times the gauge ball inside K, both centred at 0
+    B = g.unit_ball
+    if isinstance(K, Ball):
+        reach = B.radius if isinstance(B, Ball) else np.linalg.norm(B.vertices, axis=1).max()
+        return K.radius / reach
+    U, b = K.facet_data()
+    return (b / g.duals(U)).min()
+
+
+def test_symmetric_pairs_four_inradius():
+    # Artstein-Avidan, Karasev and Ostrover: xi = 4 inradius for centrally
+    # symmetric table and gauge ball
+    cases = []
+    for i in range(6):
+        dim = 2 if i < 4 else 3
+        K = random_symmetric_polytope(rng_from(0, 64, i), dim=dim, points=4)
+        T = random_symmetric_polytope(rng_from(0, 65, i), dim=dim, points=4)
+        r = 0.5 + i / 5.0
+        cases += [(K, Gauge(T)), (K, Gauge(Ball(np.zeros(dim), r))),
+                  (Ball(np.zeros(dim), r), Gauge(T)),
+                  (Ball(np.zeros(dim), r), Gauge(Ball(np.zeros(dim), 1.0 + i / 3.0)))]
+    for K, g in cases:
+        traj = shortest_trajectory(K, g)
+        assert traj.gauge_length == pytest.approx(4.0 * _inradius(K, g), abs=1e-9)
+        assert verify_reflection(traj, K, g).max_violation <= 1e-9
 
 
 # --- exact path (polytope table, polyhedral gauge) ------------------------------
@@ -182,11 +284,33 @@ def test_exact_theorem_values_and_certificates():
         assert verify_reflection(traj, K, g).max_violation <= 1e-6
 
 
+def _facet_polygons(K, m):
+    # polygons tied to the facial structure of K: for m = 2, a support point
+    # and its projection onto the opposite facet; otherwise cycles through m
+    # consecutive facet midpoints (2d) or facet-triangle centroids (3d)
+    U, b = K.facet_data()
+    V = K.vertices
+    if m == 2:
+        out = []
+        for u, off in zip(U, b):
+            q1 = K.support_point(-u)
+            out.append(np.stack([q1, q1 + (off - u @ q1) * u]))
+        return out
+    if K.dim == 2:
+        vals = V @ U.T - b
+        mids = [V[np.abs(vals[:, j]) <= 1e-9 * (1.0 + abs(b[j]))].mean(axis=0)
+                for j in range(len(U))]
+    else:
+        mids = [V[s].mean(axis=0) for s in ConvexHull(V).simplices]
+    mids = np.asarray(mids)
+    return [mids[[(j + k) % len(mids) for k in range(m)]] for j in range(len(mids))]
+
+
 def test_exact_beats_every_facet_seed():
     for K, g, _ in _exact_cases():
         length = shortest_trajectory(K, g).gauge_length
         for m in range(2, K.dim + 2):
-            for seed in _facet_seeds(K, m):
+            for seed in _facet_polygons(K, m):
                 lam = min_homothet_cover(K, seed).lam
                 if lam > 1e-9:
                     assert length <= trajectory_length(seed, g) / lam + 1e-9
@@ -221,11 +345,13 @@ def test_exact_matches_dual_formula():
             _dual_formula_length(K, g), abs=1e-9)
 
 
-def test_exact_ignores_search_budget(triangle):
-    g = diff_gauge(triangle)
-    a = shortest_trajectory(triangle, g, starts=1, seed=5, stall_limit=1)
-    b = shortest_trajectory(triangle, g, starts=64, seed=0)
-    np.testing.assert_array_equal(a.points, b.points)
+def test_exact_ignores_search_budget(triangle, disk):
+    tri_gauge = Gauge(VPolytope([[-0.5, -0.5], [1.5, -0.5], [-0.5, 1.5]]))
+    for K, g in ((triangle, diff_gauge(triangle)), (triangle, euclidean_gauge(2)),
+                 (disk, tri_gauge)):
+        a = shortest_trajectory(K, g, starts=1, seed=5, stall_limit=1)
+        b = shortest_trajectory(K, g, starts=64, seed=0)
+        np.testing.assert_array_equal(a.points, b.points)
 
 
 def test_exact_raises_when_lp_fails(triangle, monkeypatch):
@@ -337,6 +463,22 @@ def test_exact_bounds_memory_stays_bounded():
         tracemalloc.stop()
     assert traj.gauge_length == pytest.approx(2.0, abs=1e-9)
     assert peak < 16e6
+
+
+def test_ball_gauge_memory_stays_bounded():
+    # 26 facets, 5,382 cycle candidates: enclosing balls for all of them at
+    # once would take about 21 MB; batches keep the peak near 6 MB
+    K = random_polytope(rng_from(0, 41, 0), dim=3, points=30)
+    g = euclidean_gauge(3)
+    tracemalloc.start()
+    try:
+        traj = shortest_trajectory(K, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    assert traj.lam == pytest.approx(1.0, abs=1e-9)
+    assert verify_reflection(traj, K, g).max_violation <= 1e-9
 
 
 # --- reflection certificates ----------------------------------------------------

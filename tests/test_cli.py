@@ -104,6 +104,16 @@ def test_billiard_triangle(tmp_path):
     assert "polygon" in text or "polyline" in text
 
 
+def test_billiard_ball_outside_2d_and_3d_is_input_error(tmp_path):
+    body = write_json(tmp_path / "ball4.json",
+                      {"type": "ball", "center": [0.0] * 4, "radius": 1.0})
+    proc = run_cli("billiard", "--body", body, "--gauge", "euclidean")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "dimensions 2 and 3" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_oscillation_diff1x(tmp_path):
     body = write_json(tmp_path / "body.json", TRIANGLE)
     field = write_json(tmp_path / "field.json", {"poly": {"[1, 0]": 1.0}})
